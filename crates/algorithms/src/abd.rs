@@ -425,7 +425,7 @@ impl ShardedAbdMsg {
 ///
 /// Generic over the [`AbdBackend`] holding the per-key state, so the same
 /// automaton runs against the sequential in-struct map ([`LocalAbd`], the
-/// default) or a shared lock-free store (`shmem-store`).
+/// default) or a store shared between threads (`shmem-store`).
 #[derive(Clone, Debug)]
 pub struct ShardedAbdServerOn<B> {
     initial: Value,

@@ -1,7 +1,8 @@
 //! The server-state seam: the sharded server automata are generic over a
 //! *backend* holding their per-key state, so the same protocol logic runs
 //! against the in-struct `BTreeMap` state (the sequential reference) or a
-//! shared lock-free store (`shmem-store`).
+//! store shared between threads (`shmem-store`, which stripes these same
+//! reference backends under locks).
 //!
 //! The traits mirror exactly the state transitions the legacy servers
 //! performed inline; the `Local*` implementations in this module *are*
@@ -98,6 +99,18 @@ pub trait HashedBackend: CasBackend {
     fn hashed_digest_with(&self, me: u32) -> u64;
 }
 
+/// A reference backend that can be reassembled from key-disjoint parts.
+///
+/// `shmem-store` partitions one server's keys over several instances of a
+/// `Local*` backend; digests must still hash the canonical whole, so the
+/// parts are absorbed into one instance and that instance's own
+/// `digest_with` runs — the canonical shape stays written once.
+pub trait Absorb: Clone {
+    /// Copies every key `part` has materialized into `self`. The two must
+    /// come from identical constructor arguments and hold disjoint keys.
+    fn absorb(&mut self, part: &Self);
+}
+
 /// The sequential reference ABD backend: the legacy in-struct `BTreeMap`.
 #[derive(Clone, Debug, Default)]
 pub struct LocalAbd {
@@ -125,6 +138,12 @@ impl LocalAbd {
             entry.1 = shmem_util::tamper_value(entry.1, salt, key);
         }
         true
+    }
+}
+
+impl Absorb for LocalAbd {
+    fn absorb(&mut self, part: &LocalAbd) {
+        self.entries.extend(&part.entries);
     }
 }
 
@@ -226,6 +245,13 @@ impl LocalCas {
     }
 }
 
+impl Absorb for LocalCas {
+    fn absorb(&mut self, part: &LocalCas) {
+        self.slots
+            .extend(part.slots.iter().map(|(&key, slot)| (key, slot.clone())));
+    }
+}
+
 impl CasBackend for LocalCas {
     fn max_finalized(&self, key: Key) -> Tag {
         self.slots
@@ -318,6 +344,13 @@ impl LocalHashed {
     /// forge (that is the whole detection premise).
     pub fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
         self.cas.corrupt(mode, salt)
+    }
+}
+
+impl Absorb for LocalHashed {
+    fn absorb(&mut self, part: &LocalHashed) {
+        self.cas.absorb(&part.cas);
+        self.hashes.extend(&part.hashes);
     }
 }
 

@@ -796,7 +796,7 @@ impl ShardedCasMsg {
 ///
 /// Generic over the [`CasBackend`] holding the per-key slots, so the same
 /// automaton runs against the sequential in-struct map ([`LocalCas`], the
-/// default) or a shared lock-free store (`shmem-store`).
+/// default) or a store shared between threads (`shmem-store`).
 #[derive(Clone, Debug)]
 pub struct ShardedCasServerOn<B> {
     cfg: ShardedCasConfig,

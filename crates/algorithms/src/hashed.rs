@@ -562,7 +562,7 @@ pub fn sharded_is_value_dependent_upstream(msg: &ShardedHashedMsg) -> bool {
 /// A sharded hashed-CAS server: a sharded CAS server plus announced
 /// hashes per `(key, tag)` — both held in the [`HashedBackend`], so the
 /// same automaton runs against the sequential in-struct state
-/// ([`LocalHashed`], the default) or a shared lock-free store.
+/// ([`LocalHashed`], the default) or a store shared between threads.
 #[derive(Clone, Debug)]
 pub struct ShardedHashedServerOn<B> {
     inner: ShardedCasServerOn<B>,

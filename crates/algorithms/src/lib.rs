@@ -38,7 +38,7 @@ pub mod tag;
 pub mod value;
 pub mod workloads;
 
-pub use backend::{AbdBackend, CasBackend, HashedBackend, LocalAbd, LocalCas, LocalHashed};
+pub use backend::{AbdBackend, Absorb, CasBackend, HashedBackend, LocalAbd, LocalCas, LocalHashed};
 pub use harness::{AbdCluster, CasCluster, GossipCluster, HashedCluster, LossyCluster, NwbCluster};
 pub use harness::{ShardedAbdCluster, ShardedCasCluster, ShardedHashedCluster};
 pub use multikey::{project_histories, Key, MultiInv, MultiResp, ShardMap};

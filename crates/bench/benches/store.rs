@@ -1,8 +1,7 @@
-//! Benchmarks for the lock-free concurrent register store
-//! (`shmem-store`): mixed load/bump-write throughput of the shared
-//! backend at 1/2/4 accessing threads against the sequential `LocalAbd`
-//! reference, plus the raw per-op cost of a tag-ordered
-//! compare-and-bump and an epoch-pinned read.
+//! Benchmarks for the striped-lock register store (`shmem-store`):
+//! mixed load/bump-write throughput of the shared backend at 1/2/4
+//! accessing threads against the sequential `LocalAbd` reference, plus
+//! the raw per-op cost of a locked compare-and-bump and a locked read.
 
 use shmem_algorithms::backend::{AbdBackend, LocalAbd};
 use shmem_algorithms::tag::Tag;

@@ -1932,7 +1932,7 @@ pub fn net_table(seed: u64) -> Table {
 /// One measured cell of the concurrent-store throughput sweep
 /// (`tab-store`).
 pub struct StoreCell {
-    /// `"local"` (sequential `BTreeMap` backend) or `"store"` (lock-free
+    /// `"local"` (sequential `BTreeMap` backend) or `"store"` (striped
     /// shared store).
     pub backend: &'static str,
     /// Accessing threads (always 1 for `"local"`).
@@ -1981,7 +1981,7 @@ fn run_local_register_mix(ops: usize, seed: u64) -> f64 {
     ops as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// Ops/sec of the lock-free shared store at `threads` accessing threads
+/// Ops/sec of the striped shared store at `threads` accessing threads
 /// (same per-thread op budget and mix as the sequential baseline).
 fn run_store_register_mix(threads: u32, ops_per_thread: usize, seed: u64) -> f64 {
     let store = std::sync::Arc::new(shmem_store::RegStore::new());
@@ -2002,7 +2002,7 @@ fn run_store_register_mix(threads: u32, ops_per_thread: usize, seed: u64) -> f64
 
 /// The `tab-store` measurements: the sequential baseline plus the shared
 /// store at 1/2/4 threads. The acceptance gate (`tests/store_gate.rs`)
-/// requires the 4-thread cell to reach at least twice the baseline.
+/// requires the 4-thread cell not to fall below the baseline.
 pub fn store_measurements(seed: u64) -> Vec<StoreCell> {
     let ops = STORE_OPS_PER_THREAD;
     // Best of three per cell: the ratio is the deliverable, and a single
@@ -2073,7 +2073,7 @@ pub fn store_storage_frontier() -> (f64, f64) {
 /// `N/(N−f)` frontier.
 pub fn store_table(seed: u64) -> Table {
     let mut t = Table::new(
-        "Concurrent store (lock-free shared backend, 4096 keys, 25% writes)",
+        "Concurrent store (striped-lock shared backend, 4096 keys, 25% writes)",
         &[
             "backend",
             "threads",

@@ -97,7 +97,7 @@ struct ServerSlot<P: Protocol> {
     /// The worker pool of a killed server, retained for restart (the
     /// durable-storage crash model: state survives, volatile connections
     /// do not). Legacy single-threaded servers are a pool of one; a
-    /// concurrent server's workers share one lock-free store.
+    /// concurrent server's workers share one striped store.
     parked: Option<Vec<P::Server>>,
 }
 

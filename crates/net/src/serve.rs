@@ -96,7 +96,7 @@ where
 ///
 /// This is the concurrent-server entry point: every worker holds its own
 /// automaton instance, but the instances share their state through a
-/// lock-free backend (`shmem-store`), so the pool behaves as a single
+/// striped-lock backend (`shmem-store`), so the pool behaves as a single
 /// server whose message handling parallelizes across cores. The
 /// transport stays owned by the calling thread (transports are
 /// single-owner): it feeds a shared inbox the workers drain, and drains
@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(stats.msgs_out, 1);
     }
 
-    /// A pooled server: workers sharing one lock-free store behave as a
+    /// A pooled server: workers sharing one striped store behave as a
     /// single server — a `Store` handled by one worker is visible to a
     /// `Query` handled by another, and the pool's counters add up.
     #[test]
@@ -343,8 +343,7 @@ mod tests {
         use shmem_algorithms::abd::ShardedAbdMsg;
         use shmem_algorithms::abd::ShardedAbdServerOn;
         use shmem_algorithms::tag::Tag;
-        use shmem_store::reg::{RegStore, StoreAbdBackend};
-        use shmem_store::StoreAbd;
+        use shmem_store::{RegStore, StoreAbd, StoreAbdBackend};
 
         let hub = InProcHub::new();
         let server_ep = hub.endpoint(&[NodeId::Server(ServerId(0))]);

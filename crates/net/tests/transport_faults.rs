@@ -18,9 +18,7 @@ use shmem_net::wire::WireMsg;
 use shmem_net::{LoadConfig, NetBackend, NetCluster};
 use shmem_sim::{ClientId, Protocol, ServerId};
 use shmem_spec::check_atomic;
-use shmem_store::coded::StoreCasBackend;
-use shmem_store::reg::{RegStore, StoreAbdBackend};
-use shmem_store::{CodedStore, StoreAbd, StoreCas};
+use shmem_store::{RegStore, StoreAbd, StoreAbdBackend, StoreCas, StoreCasBackend};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -60,7 +58,7 @@ fn cas_cluster(backend: NetBackend) -> (NetCluster<ShardedCas>, ShardedCasConfig
 }
 
 /// The concurrent sibling of [`abd_cluster`]: every server is a pool of
-/// [`WORKERS`] automata sharing one lock-free [`RegStore`].
+/// [`WORKERS`] automata sharing one striped [`RegStore`].
 fn store_abd_cluster(backend: NetBackend) -> NetCluster<StoreAbd> {
     let spec = ValueSpec::from_bits(64.0);
     let pools = (0..N)
@@ -75,19 +73,15 @@ fn store_abd_cluster(backend: NetBackend) -> NetCluster<StoreAbd> {
 }
 
 /// The concurrent sibling of [`cas_cluster`]: pooled workers over one
-/// shared [`CodedStore`] per server.
+/// shared coded store per server.
 fn store_cas_cluster(backend: NetBackend) -> (NetCluster<StoreCas>, ShardedCasConfig) {
     let cfg = ShardedCasConfig::native(ShardMap::full(N), F, ValueSpec::from_bits(64.0));
     let pools = (0..N)
         .map(|i| {
-            let store = Arc::new(CodedStore::new());
+            let backend = StoreCasBackend::new(cfg.clone(), i, 0);
             (0..WORKERS)
                 .map(|_| {
-                    ShardedCasServerOn::with_backend(
-                        cfg.clone(),
-                        ServerId(i),
-                        StoreCasBackend::shared(&store, cfg.clone(), i, 0),
-                    )
+                    ShardedCasServerOn::with_backend(cfg.clone(), ServerId(i), backend.clone())
                 })
                 .collect()
         })
@@ -180,7 +174,7 @@ fn tcp_load_survives_server_kill_and_restart() {
 }
 
 /// The same kill/restart cell against pooled shared-store CAS servers:
-/// the worker pool dies and restarts as a unit, its lock-free store
+/// the worker pool dies and restarts as a unit, its shared store
 /// carried across the restart by the parked worker automata.
 #[test]
 fn tcp_load_survives_concurrent_server_kill_and_restart() {

@@ -1,9 +1,11 @@
 //! [`CorruptingBackend`]: the corruption adversary at the store seam.
 //!
-//! The lock-free backends publish immutable versions through atomic
-//! pointers — there is no mutable borrow into stored state for an
-//! adversary to flip bytes in, and racing one in would break the epoch
-//! reclamation contract. So the pooled-server adversary sits where a
+//! A pooled server is several worker automata over one shared store, so
+//! tampering the stored state in place (what the sim-level adversary does
+//! through `Local*::corrupt`) would reach under every worker's feet at an
+//! instant no schedule names, and would make the stored state — and with
+//! it every digest the differential suites compare — depend on when the
+//! adversary struck. So the pooled-server adversary sits where a
 //! Byzantine server actually sits: on the *serving* path. The decorator
 //! wraps any backend and, while armed, tampers every coded share it hands
 //! to readers (`read_get`) and every replicated value it loads for a

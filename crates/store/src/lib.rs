@@ -1,37 +1,35 @@
-//! `shmem-store`: a sharded, lock-free concurrent in-memory register
-//! store — the shared-state backend behind the server automata.
+//! `shmem-store`: the shared-state backend behind the server automata —
+//! a striped lock over the sequential reference backends.
 //!
-//! The sequential emulation servers keep their per-key state in private
-//! `BTreeMap`s; this crate provides the concurrent equivalent so one
-//! server process exploits all cores: per-key atomic-pointer cells in an
-//! insert-only lock-free map ([`map::AtomicMap`]), immutable published
-//! versions reclaimed through epoch-based garbage collection
-//! ([`epoch`]), and tag-ordered compare-and-bump writes so racing
-//! `store_if_newer` calls resolve to the maximum MWMR tag.
+//! The sequential emulation servers keep their per-key state in a private
+//! `LocalAbd` / `LocalCas` / `LocalHashed`; this crate lets a pool of
+//! worker threads serve one server's state by partitioning its keys over
+//! a fixed array of those same backends, each behind a mutex
+//! ([`striped::Striped`]). There is no second copy of any transition:
+//! every call locks the key's stripe and delegates.
 //!
 //! Correctness is *checked, not argued*: every concurrent test path
 //! records invoke/response intervals through [`log::ThreadLog`] and the
 //! recorded histories are fed to the unchanged `shmem-spec` atomicity
-//! checker (`tests/linearizability.rs`), with a deliberately broken
-//! store variant ([`broken`]) as the mutation control. Single-threaded
-//! runs through the [`shmem_algorithms::backend`] seam are byte-identical
+//! checker (`tests/linearizability.rs`), with deliberately broken store
+//! variants ([`broken`]) as the mutation controls. Single-threaded runs
+//! through the [`shmem_algorithms::backend`] seam are byte-identical
 //! (StepInfo traces and digests) to the legacy in-struct servers
 //! (`tests/differential.rs`), so the paper's storage accounting —
 //! per-key steady state exactly `N/(N−f)` — carries over unchanged.
 
-pub mod broken;
-pub mod coded;
-pub mod corrupt;
-pub mod epoch;
-pub mod log;
-pub mod map;
-pub mod protocol;
-pub mod reg;
+#![forbid(unsafe_code)]
 
-pub use broken::StaleTagRegHandle;
-pub use coded::{CodedStore, StoreCasBackend, StoreHashedBackend};
+pub mod broken;
+pub mod corrupt;
+pub mod log;
+pub mod protocol;
+pub mod striped;
+
+pub use broken::{SplitSectionReg, StaleTagRegHandle};
 pub use corrupt::CorruptingBackend;
-pub use epoch::{Collector, Guard, Handle};
 pub use log::{merge_histories, OpClock, ThreadLog};
 pub use protocol::{StoreAbd, StoreCas, StoreHashed};
-pub use reg::{RegHandle, RegStore, StoreAbdBackend};
+pub use striped::{
+    CodedStore, Handle, RegStore, StoreAbdBackend, StoreCasBackend, StoreHashedBackend, Striped,
+};

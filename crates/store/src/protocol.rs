@@ -1,5 +1,5 @@
-//! Protocol markers binding the sharded automata to the concurrent
-//! store backends.
+//! Protocol markers binding the sharded automata to the shared store
+//! backends.
 //!
 //! [`StoreAbd`] / [`StoreCas`] / [`StoreHashed`] are drop-in siblings of
 //! `ShardedAbd` / `ShardedCas` / `ShardedHashed`: same wire messages,
@@ -7,15 +7,14 @@
 //! differs. Anything generic over `Protocol` (the simulator, the net
 //! harness, the differential tests) runs them unchanged.
 
-use crate::coded::{StoreCasBackend, StoreHashedBackend};
-use crate::reg::StoreAbdBackend;
+use crate::striped::{StoreAbdBackend, StoreCasBackend, StoreHashedBackend};
 use shmem_algorithms::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
 use shmem_algorithms::cas::{ShardedCasClient, ShardedCasMsg, ShardedCasServerOn};
 use shmem_algorithms::hashed::{ShardedHashedClient, ShardedHashedMsg, ShardedHashedServerOn};
 use shmem_algorithms::multikey::{MultiInv, MultiResp};
 use shmem_sim::Protocol;
 
-/// Sharded ABD over the lock-free register store.
+/// Sharded ABD over the shared register store.
 pub struct StoreAbd;
 
 impl Protocol for StoreAbd {
@@ -30,7 +29,7 @@ impl Protocol for StoreAbd {
     }
 }
 
-/// Sharded CAS over the lock-free coded store.
+/// Sharded CAS over the shared coded store.
 pub struct StoreCas;
 
 impl Protocol for StoreCas {
@@ -45,7 +44,7 @@ impl Protocol for StoreCas {
     }
 }
 
-/// Sharded hashed CAS over the lock-free coded store + hash side-table.
+/// Sharded hashed CAS over the shared coded store + hash side-table.
 pub struct StoreHashed;
 
 impl Protocol for StoreHashed {

@@ -7,11 +7,14 @@
 //! workload and schedule drive both worlds; the [`StepInfo`] traces, the
 //! op-for-op responses, and the full simulator digests (which fold in
 //! every server's `Node::digest`, i.e. the backend's canonical state
-//! hash) must match exactly — at batch size 1 and batch size 16. Per-key
+//! hash) must match exactly — at batch size 1 and batch size 16, and
+//! once more over a keyspace wide enough that every stripe of the store
+//! holds keys, so the digest's stripe merge is compared too. Per-key
 //! projections of the store-backed runs must also pass the unchanged
 //! `shmem-spec` atomicity checker.
 
 use shmem_algorithms::abd::{ShardedAbd, ShardedAbdClient, ShardedAbdServer, ShardedAbdServerOn};
+use shmem_algorithms::backend::{CasBackend, LocalHashed};
 use shmem_algorithms::cas::{
     ShardedCas, ShardedCasClient, ShardedCasConfig, ShardedCasServer, ShardedCasServerOn,
 };
@@ -22,9 +25,8 @@ use shmem_algorithms::workloads::ZipfKeys;
 use shmem_algorithms::{project_histories, Key, MultiInv, MultiResp, ShardMap, Value, ValueSpec};
 use shmem_sim::{ClientId, Protocol, ServerId, Sim, SimConfig, StepInfo};
 use shmem_spec::check_atomic;
-use shmem_store::coded::{StoreCasBackend, StoreHashedBackend};
-use shmem_store::reg::StoreAbdBackend;
-use shmem_store::{StoreAbd, StoreCas, StoreHashed};
+use shmem_store::StoreHashedBackend;
+use shmem_store::{StoreAbd, StoreAbdBackend, StoreCas, StoreCasBackend, StoreHashed};
 use shmem_util::DetRng;
 
 const SPEC: f64 = 64.0;
@@ -162,7 +164,18 @@ fn cas_worlds(cfg: &ShardedCasConfig) -> (Sim<ShardedCas>, Sim<StoreCas>) {
     (legacy, store)
 }
 
-fn hashed_worlds(cfg: &ShardedCasConfig) -> (Sim<ShardedHashed>, Sim<StoreHashed>) {
+/// The two hashed worlds, plus a handle on each store-world server's
+/// store (for looking at it from outside the simulator).
+fn hashed_worlds(
+    cfg: &ShardedCasConfig,
+) -> (
+    Sim<ShardedHashed>,
+    Sim<StoreHashed>,
+    Vec<StoreHashedBackend>,
+) {
+    let backends: Vec<StoreHashedBackend> = (0..N)
+        .map(|i| StoreHashedBackend::new(cfg.clone(), i, 0))
+        .collect();
     let legacy = Sim::new(
         SimConfig::without_gossip(),
         (0..N)
@@ -179,7 +192,7 @@ fn hashed_worlds(cfg: &ShardedCasConfig) -> (Sim<ShardedHashed>, Sim<StoreHashed
                 ShardedHashedServerOn::with_backend(
                     cfg.clone(),
                     ServerId(i),
-                    StoreHashedBackend::new(cfg.clone(), i, 0),
+                    backends[i as usize].clone(),
                 )
             })
             .collect(),
@@ -187,7 +200,7 @@ fn hashed_worlds(cfg: &ShardedCasConfig) -> (Sim<ShardedHashed>, Sim<StoreHashed
             .map(|c| ShardedHashedClient::new(cfg.clone(), c))
             .collect(),
     );
-    (legacy, store)
+    (legacy, store, backends)
 }
 
 #[test]
@@ -225,8 +238,45 @@ fn store_hashed_matches_legacy_batch_1_and_16() {
     let cfg = ShardedCasConfig::native(ShardMap::full(N), F, ValueSpec::from_bits(SPEC));
     for batch in [1usize, 16] {
         for seed in 0..4u64 {
-            let (mut legacy, mut store) = hashed_worlds(&cfg);
+            let (mut legacy, mut store, _) = hashed_worlds(&cfg);
             assert_equivalent(&mut legacy, &mut store, seed, batch);
         }
     }
+}
+
+/// Writes every key of `0..keys` once, in batches of 16, draining each
+/// write to quiescence (so every server has seen it) on a fixed schedule
+/// — the same steps in either world.
+fn preload<P>(sim: &mut Sim<P>, keys: u64)
+where
+    P: Protocol<Inv = MultiInv, Resp = MultiResp>,
+{
+    for base in (0..keys).step_by(16) {
+        let pairs: Vec<(Key, Value)> = (base..base + 16).map(|k| (k, 1_000 + k)).collect();
+        sim.invoke(ClientId(0), MultiInv::writes(&pairs)).unwrap();
+        while sim.step_with(|_| 0).is_some() {}
+        assert!(!sim.has_open_op(ClientId(0)));
+    }
+}
+
+/// The stripe merge: with 256 keys preloaded every stripe of every
+/// server's store is populated (asserted, not assumed), so the digests
+/// compared afterwards are digests of a 64-way merge — shares, finalize
+/// labels and the hash side-table alike — against the reference's one
+/// map.
+#[test]
+fn store_hashed_matches_legacy_with_every_stripe_populated() {
+    const WIDE: u64 = 256;
+    let cfg = ShardedCasConfig::native(ShardMap::full(N), F, ValueSpec::from_bits(SPEC)).with_gc(0);
+    let (mut legacy, mut store, backends) = hashed_worlds(&cfg);
+    preload(&mut legacy, WIDE);
+    preload(&mut store, WIDE);
+    for (i, backend) in backends.iter().enumerate() {
+        let held = backend.store().per_stripe(LocalHashed::keys_held);
+        assert!(
+            held.iter().all(|&keys| keys > 0),
+            "server {i}: a stripe is empty after the preload: {held:?}"
+        );
+    }
+    assert_equivalent(&mut legacy, &mut store, 7, 16);
 }

@@ -1,23 +1,24 @@
-//! Linearizability of the concurrent store, *checked* by the unchanged
+//! Linearizability of the shared store, *checked* by the unchanged
 //! `shmem-spec` atomicity checker over recorded multi-threaded histories.
 //!
-//! Worker threads hammer a shared store with seeded read/write/CAS op
-//! decks, stamping every operation's invoke/response interval through the
+//! Worker threads hammer a shared store with seeded read/write op decks,
+//! stamping every operation's invoke/response interval through the
 //! per-thread [`ThreadLog`]; after joining, the logs merge into per-key
 //! histories and `check_atomic` delivers the verdict. The suite sweeps
-//! 2/4/8 threads × several seeds, and includes a deliberately broken
-//! store variant (stale-tag reads) as a mutation control the checker
-//! must kill — proof the harness can actually see violations.
+//! 2/4/8 threads × several seeds, and includes two deliberately broken
+//! store variants as mutation controls the checker must kill — stale-tag
+//! reads, and a compare-and-store split over two critical sections —
+//! proof the harness can actually see violations.
 
-use shmem_algorithms::backend::CasBackend;
+use shmem_algorithms::backend::{AbdBackend, CasBackend, LocalCas};
 use shmem_algorithms::multikey::{Key, ShardMap};
 use shmem_algorithms::tag::Tag;
 use shmem_algorithms::value::{Value, ValueSpec};
-use shmem_spec::check_atomic;
-use shmem_store::coded::StoreCasBackend;
+use shmem_spec::{check_atomic, History};
 use shmem_store::log::{merge_histories, OpClock, ThreadLog};
-use shmem_store::reg::RegStore;
-use shmem_store::{broken::StaleTagRegHandle, CodedStore};
+use shmem_store::{
+    CodedStore, RegStore, SplitSectionReg, StaleTagRegHandle, StoreAbdBackend, StoreCasBackend,
+};
 use shmem_util::rng::DetRng;
 use std::sync::{Arc, Barrier};
 
@@ -54,7 +55,7 @@ fn run_register_stress(threads: u32, seed: u64) {
     let logs: Vec<ThreadLog> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let handle = store.handle();
+                let mut handle = StoreAbdBackend::shared(&store);
                 let mut log = ThreadLog::new(t, &clock);
                 let mut rng = DetRng::seed_from_u64(seed ^ u64::from(t) << 17);
                 scope.spawn(move || {
@@ -115,21 +116,26 @@ fn register_stress_atomic_8_threads() {
 /// Coded mix: threads drive the [`CasBackend`] transitions directly
 /// (query-tag → pre-write → finalize for writes; query-tag → read-get →
 /// decode for reads) against one shared [`CodedStore`], single-server
-/// `[1,1]` geometry so every round is one backend call deep.
-fn run_coded_stress(threads: u32, seed: u64) {
-    let cfg = shmem_algorithms::cas::ShardedCasConfig::native(
+/// `[1,1]` geometry so every round is one backend call deep. Under
+/// `gc(0)` a read's `read_get` — finalize, gc and fetch in one critical
+/// section — races `pre_write`/`finalize` of newer tags on the same key:
+/// when the queried tag's symbol has been collected meanwhile the reader
+/// starts over from a fresh tag, as a CAS reader does.
+fn run_coded_stress(threads: u32, seed: u64, gc: Option<u32>) {
+    let mut cfg = shmem_algorithms::cas::ShardedCasConfig::native(
         ShardMap::full(1),
         0,
         ValueSpec::from_bits(64.0),
     );
-    let store = Arc::new(CodedStore::new());
+    cfg.gc_depth = gc;
+    let store: Arc<CodedStore> = Arc::new(CodedStore::of(LocalCas::new(cfg.clone(), 0, INITIAL)));
     let clock = OpClock::new();
     let m = OPS_PER_KEY / threads as usize;
 
     let logs: Vec<ThreadLog> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let mut backend = StoreCasBackend::shared(&store, cfg.clone(), 0, INITIAL);
+                let mut backend = StoreCasBackend::shared(&store);
                 let code = cfg.code();
                 let mut log = ThreadLog::new(t, &clock);
                 let mut rng = DetRng::seed_from_u64(seed ^ u64::from(t) << 23);
@@ -146,11 +152,16 @@ fn run_coded_stress(threads: u32, seed: u64) {
                             backend.finalize(key, tag);
                             log.write_done(key, invoked, v);
                         } else {
-                            let tag = backend.max_finalized(key);
-                            let share = backend
-                                .read_get(key, tag)
-                                .expect("full map: every key in shard")
-                                .expect("no GC: finalized share must be held");
+                            let share = loop {
+                                let tag = backend.max_finalized(key);
+                                let held = backend
+                                    .read_get(key, tag)
+                                    .expect("full map: every key in shard");
+                                match held {
+                                    Some(share) => break share,
+                                    None => assert!(gc.is_some(), "no GC: share must be held"),
+                                }
+                            };
                             let bytes = code
                                 .decode_bytes(&[(0, share)], ValueSpec::VALUE_BYTES)
                                 .expect("[1,1] decode from its only share");
@@ -168,7 +179,9 @@ fn run_coded_stress(threads: u32, seed: u64) {
     assert_eq!(histories.len() as u64, KEYS, "every key must be touched");
     for (key, h) in histories {
         if let Err(v) = check_atomic(&h) {
-            panic!("threads={threads} seed={seed:#x} key={key}: coded history not atomic: {v}");
+            panic!(
+                "threads={threads} seed={seed:#x} gc={gc:?} key={key}: coded history not atomic: {v}"
+            );
         }
     }
 }
@@ -176,22 +189,24 @@ fn run_coded_stress(threads: u32, seed: u64) {
 #[test]
 fn coded_stress_atomic_4_threads() {
     for seed in [0xc0de_d001, 0xc0de_d002, 0xc0de_d003] {
-        run_coded_stress(4, seed);
+        run_coded_stress(4, seed, None);
+        run_coded_stress(4, seed, Some(0));
     }
 }
 
 #[test]
 fn coded_stress_atomic_8_threads() {
-    run_coded_stress(8, 0xc0de_d004);
+    run_coded_stress(8, 0xc0de_d004, None);
+    run_coded_stress(8, 0xc0de_d004, Some(0));
 }
 
-/// The mutation control: a store whose reads return stale cached
+/// The first mutation control: a store whose reads return stale cached
 /// versions MUST be killed by the checker — otherwise the whole suite is
 /// vacuous. Three honest writers complete a round of writes between a
 /// broken reader's first and second read of each key (barrier-sequenced,
 /// so the kill is deterministic across every seed).
 #[test]
-fn broken_store_is_killed_by_the_checker() {
+fn stale_tag_store_is_killed_by_the_checker() {
     for seed in [0xbad5_eed1_u64, 0xbad5_eed2, 0xbad5_eed3] {
         let store = Arc::new(RegStore::new());
         let clock = OpClock::new();
@@ -223,7 +238,7 @@ fn broken_store_is_killed_by_the_checker() {
                 }));
             }
             for w in 1..=writers {
-                let handle = store.handle();
+                let mut handle = StoreAbdBackend::shared(&store);
                 let mut log = ThreadLog::new(w, &clock);
                 let gate = Arc::clone(&gate);
                 let mut rng = DetRng::seed_from_u64(seed ^ u64::from(w));
@@ -255,4 +270,103 @@ fn broken_store_is_killed_by_the_checker() {
             "seed {seed:#x}: stale-tag mutation survived the checker — the suite is vacuous"
         );
     }
+}
+
+/// One replica of a three-replica register, as [`quorum_script`] drives
+/// it. `between` runs inside `store`, wherever the implementation is not
+/// holding its lock — for an honest store that is before it takes it.
+trait Replica {
+    fn load(&self) -> Option<(Tag, Value)>;
+    fn store(&self, tag: Tag, value: Value, between: &mut dyn FnMut());
+}
+
+const REPLICATED_KEY: Key = 0;
+
+impl Replica for Arc<RegStore> {
+    fn load(&self) -> Option<(Tag, Value)> {
+        StoreAbdBackend::shared(self).load(REPLICATED_KEY)
+    }
+    fn store(&self, tag: Tag, value: Value, between: &mut dyn FnMut()) {
+        between();
+        StoreAbdBackend::shared(self).store_if_newer(REPLICATED_KEY, tag, value);
+    }
+}
+
+impl Replica for SplitSectionReg {
+    fn load(&self) -> Option<(Tag, Value)> {
+        SplitSectionReg::load(self, REPLICATED_KEY)
+    }
+    fn store(&self, tag: Tag, value: Value, between: &mut dyn FnMut()) {
+        self.store_if_newer(REPLICATED_KEY, tag, value, between);
+    }
+}
+
+/// ABD's query phase against the quorum `q`: the highest-tagged version.
+fn quorum_max<R: Replica>(replicas: &[R; 3], q: [usize; 2]) -> (Tag, Value) {
+    let version = |i: usize| replicas[i].load().unwrap_or((Tag::ZERO, INITIAL));
+    version(q[0]).max(version(q[1]))
+}
+
+/// An ABD read through the quorum `q`: query, write back, return.
+fn quorum_read<R: Replica>(replicas: &[R; 3], q: [usize; 2], log: &mut ThreadLog) {
+    let invoked = log.invoke();
+    let (tag, value) = quorum_max(replicas, q);
+    for i in q {
+        replicas[i].store(tag, value, &mut || {});
+    }
+    log.read_done(REPLICATED_KEY, invoked, value);
+}
+
+/// A fixed interleaving of three ABD clients over three replicas, each
+/// client a correct ABD client (query a quorum, store to a quorum). A
+/// slow writer's store to replica 0 is in flight — compared, not yet
+/// stored, if the replica lets those come apart — while a second writer
+/// with a higher tag completes and is read; the slow write then lands,
+/// and two more reads go through different quorums.
+fn quorum_script<R: Replica>(replicas: [R; 3]) -> History<Value> {
+    let clock = OpClock::new();
+    let (slow_id, fast_id) = (1, 2);
+    let mut slow = ThreadLog::new(slow_id, &clock);
+    let mut fast = ThreadLog::new(fast_id, &clock);
+    let mut reader = ThreadLog::new(3, &clock);
+
+    let slow_invoked = slow.invoke();
+    let slow_tag = quorum_max(&replicas, [0, 1]).0.successor(slow_id);
+    replicas[0].store(slow_tag, val(slow_id, 0), &mut || {
+        let invoked = fast.invoke();
+        let tag = quorum_max(&replicas, [0, 1]).0.successor(fast_id);
+        assert!(tag > slow_tag);
+        for i in [0, 1] {
+            replicas[i].store(tag, val(fast_id, 0), &mut || {});
+        }
+        fast.write_done(REPLICATED_KEY, invoked, val(fast_id, 0));
+        quorum_read(&replicas, [0, 1], &mut reader);
+    });
+    replicas[2].store(slow_tag, val(slow_id, 0), &mut || {});
+    slow.write_done(REPLICATED_KEY, slow_invoked, val(slow_id, 0));
+
+    quorum_read(&replicas, [0, 2], &mut reader);
+    quorum_read(&replicas, [1, 2], &mut reader);
+
+    merge_histories(INITIAL, vec![slow, fast, reader])
+        .remove(&REPLICATED_KEY)
+        .expect("the script touches the key")
+}
+
+/// The second mutation control: a store that compares the tag in one
+/// critical section and stores in another loses the max-tag merge, and
+/// the checker MUST see it. Over the honest store the same script is
+/// atomic — the slow store is refused — so the kill is the mutant's
+/// doing, not the script's.
+#[test]
+fn split_section_store_is_killed_by_the_checker() {
+    let honest = quorum_script([(); 3].map(|()| Arc::new(RegStore::new())));
+    if let Err(v) = check_atomic(&honest) {
+        panic!("quorum script over the honest store not atomic: {v}");
+    }
+    let broken = quorum_script([(); 3].map(|()| SplitSectionReg::default()));
+    assert!(
+        check_atomic(&broken).is_err(),
+        "split-section mutation survived the checker — the suite is vacuous"
+    );
 }

@@ -21,7 +21,7 @@
 //!   scalar shrinking), the shrinking hook the property harness itself
 //!   omits.
 //! * [`tamper`] — the canonical corruption-adversary byte tamper, defined
-//!   once so the simulator, the lock-free store, and the network layer
+//!   once so the simulator, the shared store, and the network layer
 //!   corrupt payloads byte-identically.
 
 pub mod bench;

@@ -2,7 +2,7 @@
 //!
 //! The corruption-Byzantine adversary lives in three layers at once: the
 //! simulator mutates stored shares and queued message payloads, the
-//! lock-free store decorates `read_get` replies, and the network layer
+//! shared store decorates `read_get` replies, and the network layer
 //! rewrites share bytes inside decoded frames. The cross-layer differential
 //! tests require *byte-identical* corruption in all three, so the actual
 //! mutation is defined exactly once, here, as a pure function of

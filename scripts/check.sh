@@ -34,9 +34,12 @@ cargo test --release -q -p shmem-net --test wire_roundtrip --test transport_faul
 echo "==> corrupt gate: 1000-seed acceptance sweep + cross-world differential (release)"
 cargo test --release -q --test corrupt_sweep --test corrupt_differential
 
-echo "==> store gate: linearizability stress + differential + reclamation + throughput/storage (release)"
+echo "==> store gate: linearizability stress + differential + throughput floor/storage (release)"
 cargo test --release -q -p shmem-store
 cargo test --release -q -p shmem-bench --test store_gate
+
+echo "==> ledger gate: the benchmark crate builds and passes against the workspace's public API (release)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> perf smoke: step throughput vs committed baseline (release)"
 cargo run --release -q -p shmem-bench --bin perf_smoke

@@ -34,10 +34,9 @@ use shmem_erasure::CodeError;
 use shmem_net::{LoadConfig, NetAlgorithm, NetBackend, NetCluster, NetCorruption, NetScenario};
 use shmem_sim::{ClientId, OpRecord, Protocol, ServerId, Sim, SimConfig};
 use shmem_spec::check_no_fabrication;
-use shmem_store::{CodedStore, CorruptingBackend, StoreCasBackend, StoreHashedBackend};
+use shmem_store::{CorruptingBackend, StoreCasBackend, StoreHashedBackend};
 use shmem_util::DetRng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 const N: u32 = 5;
 const F: u32 = 1;
@@ -216,7 +215,7 @@ fn net_world(algorithm: NetAlgorithm, batch: usize, seed: u64) -> BTreeMap<Key, 
 /// Worker threads per pooled server.
 const WORKERS: usize = 2;
 
-/// Sharded CAS over pooled lock-free stores with the corruption decorator
+/// Sharded CAS over pooled shared stores with the corruption decorator
 /// at the backend seam.
 struct CorruptStoreCas;
 
@@ -232,7 +231,7 @@ impl Protocol for CorruptStoreCas {
     }
 }
 
-/// Hashed CAS over pooled lock-free stores with the corruption decorator
+/// Hashed CAS over pooled shared stores with the corruption decorator
 /// at the backend seam.
 struct CorruptStoreHashed;
 
@@ -249,19 +248,16 @@ impl Protocol for CorruptStoreHashed {
 }
 
 /// The pooled-store world: every server is a pool of [`WORKERS`] workers
-/// over one shared lock-free store; server 0's workers serve through an
+/// over one shared striped store; server 0's workers serve through an
 /// armed [`CorruptingBackend`].
 fn store_cas_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
     let cfg = cas_config();
     let pools = (0..N)
         .map(|i| {
-            let store = Arc::new(CodedStore::new());
+            let store = StoreCasBackend::new(cfg.clone(), i, 0);
             (0..WORKERS)
                 .map(|_| {
-                    let mut backend = CorruptingBackend::new(
-                        StoreCasBackend::shared(&store, cfg.clone(), i, 0),
-                        SALT,
-                    );
+                    let mut backend = CorruptingBackend::new(store.clone(), SALT);
                     backend.arm(i == CORRUPT_SERVER);
                     ShardedCasServerOn::with_backend(cfg.clone(), ServerId(i), backend)
                 })
@@ -284,13 +280,10 @@ fn store_hashed_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
     let cfg = cas_config();
     let pools = (0..N)
         .map(|i| {
-            let store = Arc::new(CodedStore::new());
+            let store = StoreHashedBackend::new(cfg.clone(), i, 0);
             (0..WORKERS)
                 .map(|_| {
-                    let mut backend = CorruptingBackend::new(
-                        StoreHashedBackend::shared(&store, cfg.clone(), i, 0),
-                        SALT,
-                    );
+                    let mut backend = CorruptingBackend::new(store.clone(), SALT);
                     backend.arm(i == CORRUPT_SERVER);
                     ShardedHashedServerOn::with_backend(cfg.clone(), ServerId(i), backend)
                 })
