@@ -22,6 +22,7 @@ use crate::tag::Tag;
 use crate::value::{Value, ValueSpec};
 use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 
 /// Protocol marker for ABD.
 pub struct Abd;
@@ -337,20 +338,28 @@ where
 /// a whole batch of keys at once, coalescing each round into one message
 /// per (client, server) pair. With [`ShardMap::full`] and batch size 1 the
 /// message flow is step-isomorphic to legacy [`Abd`].
-pub struct ShardedAbd;
+///
+/// The parameter is the [`AbdBackend`] the servers keep their state in:
+/// the sequential in-struct map by default, a store shared between worker
+/// threads or a decorator where a caller names one. Messages, clients and
+/// hooks are the same for every backend.
+pub struct ShardedAbd<B = LocalAbd>(PhantomData<fn() -> B>);
 
-impl Protocol for ShardedAbd {
+impl<B> Protocol for ShardedAbd<B>
+where
+    B: AbdBackend + Clone + std::fmt::Debug + 'static,
+{
     type Msg = ShardedAbdMsg;
     type Inv = MultiInv;
     type Resp = MultiResp;
-    type Server = ShardedAbdServer;
+    type Server = ShardedAbdServerOn<B>;
     type Client = ShardedAbdClient;
 
     fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
         msg.wire_bytes()
     }
 
-    fn corrupt_server(server: &mut ShardedAbdServer, mode: u8, salt: u64) -> bool {
+    fn corrupt_server(server: &mut ShardedAbdServerOn<B>, mode: u8, salt: u64) -> bool {
         server.backend_mut().corrupt(mode, salt)
     }
 

@@ -41,6 +41,16 @@ pub trait AbdBackend {
     /// Digest over `(initial, entries)` — must hash the same canonical
     /// shape as the legacy in-struct server.
     fn digest_with(&self, initial: Value) -> u64;
+
+    /// Corruption-adversary entry point: tamper the stored value-bearing
+    /// state in `mode` (see [`crate::corrupt::modes`]), deterministically
+    /// in `salt`, and report whether anything changed. Only a backend that
+    /// owns its state outright can be tampered in place; the default — a
+    /// store shared between worker threads, a decorator — refuses.
+    fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
+        let _ = (mode, salt);
+        false
+    }
 }
 
 /// Per-key state of a sharded CAS server: coded shares by tag plus
@@ -80,6 +90,14 @@ pub trait CasBackend {
     /// Digest over `(me, [(key, shares, finalized)])` in key order — the
     /// legacy canonical shape.
     fn digest_with(&self, me: u32) -> u64;
+
+    /// Corruption-adversary entry point, as [`AbdBackend::corrupt`]: the
+    /// default refuses. Announced hashes ([`HashedBackend`]) are integrity
+    /// metadata and never in reach.
+    fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
+        let _ = (mode, salt);
+        false
+    }
 }
 
 /// A CAS backend that additionally stores announced value hashes per
@@ -122,23 +140,6 @@ impl LocalAbd {
     pub fn new() -> LocalAbd {
         LocalAbd::default()
     }
-
-    /// Corruption-adversary entry point: fabricate every materialized
-    /// entry, deterministically in `salt`. Replication has no stale
-    /// versions or shares to play with, so all modes collapse to the one
-    /// attack that matters: tamper the value and forge a higher tag
-    /// (writer [`crate::corrupt::FORGED_WRITER`]) so the fabrication wins
-    /// the reader's max-tag fold. Refuses when nothing is materialized.
-    pub fn corrupt(&mut self, _mode: u8, salt: u64) -> bool {
-        if self.entries.is_empty() {
-            return false;
-        }
-        for (&key, entry) in self.entries.iter_mut() {
-            entry.0 = entry.0.successor(crate::corrupt::FORGED_WRITER);
-            entry.1 = shmem_util::tamper_value(entry.1, salt, key);
-        }
-        true
-    }
 }
 
 impl Absorb for LocalAbd {
@@ -168,6 +169,23 @@ impl AbdBackend for LocalAbd {
 
     fn digest_with(&self, initial: Value) -> u64 {
         hash_of(&(initial, &self.entries))
+    }
+
+    /// Fabricates every materialized
+    /// entry, deterministically in `salt`. Replication has no stale
+    /// versions or shares to play with, so all modes collapse to the one
+    /// attack that matters: tamper the value and forge a higher tag
+    /// (writer [`crate::corrupt::FORGED_WRITER`]) so the fabrication wins
+    /// the reader's max-tag fold. Refuses when nothing is materialized.
+    fn corrupt(&mut self, _mode: u8, salt: u64) -> bool {
+        if self.entries.is_empty() {
+            return false;
+        }
+        for (&key, entry) in self.entries.iter_mut() {
+            entry.0 = entry.0.successor(crate::corrupt::FORGED_WRITER);
+            entry.1 = shmem_util::tamper_value(entry.1, salt, key);
+        }
+        true
     }
 }
 
@@ -212,24 +230,6 @@ impl LocalCas {
             shares: [(Tag::ZERO, initial.clone())].into(),
             finalized: [Tag::ZERO].into(),
         }))
-    }
-
-    /// Corruption-adversary entry point: tamper every materialized key
-    /// slot in `mode` (see [`crate::corrupt::modes`]), deterministically
-    /// in `(salt, key)`. Refuses when no slot holds a corruptible
-    /// finalized version.
-    pub fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
-        let mut tampered = false;
-        for (&key, slot) in self.slots.iter_mut() {
-            tampered |= crate::corrupt::corrupt_coded_slot(
-                &mut slot.shares,
-                &mut slot.finalized,
-                mode,
-                salt,
-                key,
-            );
-        }
-        tampered
     }
 
     fn gc(cfg: &ShardedCasConfig, slot: &mut KeySlot) {
@@ -314,6 +314,24 @@ impl CasBackend for LocalCas {
             .collect();
         hash_of(&(me, canonical))
     }
+
+    /// Tampers every materialized key
+    /// slot in `mode` (see [`crate::corrupt::modes`]), deterministically
+    /// in `(salt, key)`. Refuses when no slot holds a corruptible
+    /// finalized version.
+    fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
+        let mut tampered = false;
+        for (&key, slot) in self.slots.iter_mut() {
+            tampered |= crate::corrupt::corrupt_coded_slot(
+                &mut slot.shares,
+                &mut slot.finalized,
+                mode,
+                salt,
+                key,
+            );
+        }
+        tampered
+    }
 }
 
 /// The sequential reference hashed-CAS backend: [`LocalCas`] plus the
@@ -337,13 +355,6 @@ impl LocalHashed {
             hashes: BTreeMap::new(),
             initial_digest: crate::hashed::value_digest(initial),
         }
-    }
-
-    /// Corruption-adversary entry point: tamper the coded slots only —
-    /// the announced hashes are integrity metadata the adversary must not
-    /// forge (that is the whole detection premise).
-    pub fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
-        self.cas.corrupt(mode, salt)
     }
 }
 
@@ -381,6 +392,12 @@ impl CasBackend for LocalHashed {
     }
     fn digest_with(&self, me: u32) -> u64 {
         self.cas.digest_with(me)
+    }
+    /// Tampers the coded slots only — the announced hashes are integrity
+    /// metadata the adversary must not forge (that is the whole detection
+    /// premise).
+    fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
+        self.cas.corrupt(mode, salt)
     }
 }
 

@@ -29,6 +29,7 @@ use crate::value::{Value, ValueSpec};
 use shmem_erasure::{Codec, Gf256};
 use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol, ServerId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Protocol marker for CAS/CASGC.
@@ -567,20 +568,26 @@ impl Node<Cas> for CasClient {
 /// Unlike legacy CASGC clients, sharded reads do not restart when garbage
 /// collection races them; an undecodable key surfaces as
 /// [`RegResp::ReadFailed`] for that key alone.
-pub struct ShardedCas;
+///
+/// The parameter is the [`CasBackend`] the servers keep their state in
+/// ([`LocalCas`] by default); see [`crate::abd::ShardedAbd`].
+pub struct ShardedCas<B = LocalCas>(PhantomData<fn() -> B>);
 
-impl Protocol for ShardedCas {
+impl<B> Protocol for ShardedCas<B>
+where
+    B: CasBackend + Clone + std::fmt::Debug + 'static,
+{
     type Msg = ShardedCasMsg;
     type Inv = MultiInv;
     type Resp = MultiResp;
-    type Server = ShardedCasServer;
+    type Server = ShardedCasServerOn<B>;
     type Client = ShardedCasClient;
 
     fn msg_wire_bytes(msg: &ShardedCasMsg) -> u64 {
         msg.wire_bytes()
     }
 
-    fn corrupt_server(server: &mut ShardedCasServer, mode: u8, salt: u64) -> bool {
+    fn corrupt_server(server: &mut ShardedCasServerOn<B>, mode: u8, salt: u64) -> bool {
         server.backend_mut().corrupt(mode, salt)
     }
 

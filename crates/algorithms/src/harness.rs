@@ -55,24 +55,39 @@ fn append_codecs_section(doc: &mut Json, geometries: &[(u32, u32)]) {
     }
 }
 
-/// A running register cluster of any protocol with the uniform
-/// [`RegInv`]/[`RegResp`] interface.
+/// A running cluster of any protocol: a simulated world plus what the
+/// harness needs to read it back — the registers' initial value, the
+/// key → server placement and the failure budget.
+///
+/// Single-register protocols ([`RegInv`]/[`RegResp`]) get
+/// [`Cluster::write`], [`Cluster::read`] and [`Cluster::history`];
+/// sharded multi-register protocols ([`MultiInv`]/[`MultiResp`]) get
+/// [`Cluster::write_batch`], [`Cluster::read_batch`] and
+/// [`Cluster::histories`]. Everything else is shared.
 ///
 /// # Examples
 ///
 /// ```
-/// use shmem_algorithms::harness::AbdCluster;
+/// use shmem_algorithms::harness::{AbdCluster, ShardedAbdCluster};
+/// use shmem_algorithms::{RegResp, ShardMap, ValueSpec};
 ///
-/// let mut c = AbdCluster::new(5, 2, 2, shmem_algorithms::ValueSpec::from_bits(64.0));
+/// let mut c = AbdCluster::new(5, 2, 2, ValueSpec::from_bits(64.0));
 /// c.write(0, 42)?;
 /// assert_eq!(c.read(1)?, 42);
 /// assert!(shmem_spec::check_atomic(&c.history()).is_ok());
+///
+/// let map = ShardMap::new(6, 2, 3);
+/// let mut c = ShardedAbdCluster::new(map, 1, 2, ValueSpec::from_bits(64.0));
+/// c.write_batch(0, &[(1, 11), (2, 22)])?;
+/// let got = c.read_batch(1, &[1, 2])?;
+/// assert_eq!(got.get(1), Some(&RegResp::ReadValue(11)));
 /// # Ok::<(), shmem_sim::RunError>(())
 /// ```
-pub struct Cluster<P: Protocol<Inv = RegInv, Resp = RegResp>> {
+pub struct Cluster<P: Protocol> {
     /// The underlying simulated world, exposed for adversary control.
     pub sim: Sim<P>,
     initial: Value,
+    map: ShardMap,
     f: u32,
     /// Erasure-code geometries `(n, k)` this cluster decodes with — the
     /// codecs whose plan-cache stats `metrics_json` reports (empty for
@@ -92,16 +107,47 @@ pub type GossipCluster = Cluster<AbdGossip>;
 pub type NwbCluster = Cluster<NoWriteBack>;
 /// Hash-commitment CAS cluster alias.
 pub type HashedCluster = Cluster<HashedCas>;
+/// Sharded multi-register ABD cluster alias.
+pub type ShardedAbdCluster = Cluster<ShardedAbd>;
+/// Sharded multi-register CAS cluster alias.
+pub type ShardedCasCluster = Cluster<ShardedCas>;
+/// Sharded multi-register hashed-CAS cluster alias.
+pub type ShardedHashedCluster = Cluster<ShardedHashed>;
 
-impl<P: Protocol<Inv = RegInv, Resp = RegResp>> Cluster<P> {
-    /// The failure budget the cluster was built for.
+impl<P: Protocol> Cluster<P> {
+    /// The one constructor behind every `*Cluster::new`.
+    fn assemble(
+        config: SimConfig,
+        map: ShardMap,
+        f: u32,
+        initial: Value,
+        codec_geometries: Vec<(u32, u32)>,
+        servers: Vec<P::Server>,
+        clients: Vec<P::Client>,
+    ) -> Cluster<P> {
+        Cluster {
+            sim: Sim::new(config, servers, clients),
+            initial,
+            map,
+            f,
+            codec_geometries,
+        }
+    }
+
+    /// The (per-shard) failure budget the cluster was built for.
     pub fn f(&self) -> u32 {
         self.f
     }
 
-    /// The register's initial value.
+    /// Every register's initial value.
     pub fn initial(&self) -> Value {
         self.initial
+    }
+
+    /// The key → shard → server placement ([`ShardMap::full`] for a
+    /// single-register cluster).
+    pub fn map(&self) -> ShardMap {
+        self.map
     }
 
     /// Turns on full metering ([`shmem_sim::MetricsLevel::Full`]) and
@@ -133,6 +179,99 @@ impl<P: Protocol<Inv = RegInv, Resp = RegResp>> Cluster<P> {
         &self.codec_geometries
     }
 
+    /// Starts an operation without running it — for concurrent workloads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    pub fn begin(&mut self, client: u32, inv: P::Inv) -> Result<(), RunError> {
+        self.sim.invoke(ClientId(client), inv)
+    }
+
+    /// Takes `step`s until it reports quiescence, under the world's step
+    /// limit.
+    fn run_with(&mut self, mut step: impl FnMut(&mut Sim<P>) -> bool) -> Result<u64, RunError> {
+        let limit = self.sim.config().step_limit;
+        let mut steps = 0u64;
+        while step(&mut self.sim) {
+            steps += 1;
+            if steps > limit {
+                return Err(RunError::StepLimit { steps: limit });
+            }
+        }
+        Ok(steps)
+    }
+
+    /// Runs the world under a seeded random schedule until quiescence —
+    /// completes all open operations under an arbitrary interleaving.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::StepLimit`] if the protocol livelocks.
+    pub fn run_seeded(&mut self, seed: u64) -> Result<u64, RunError> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        self.run_with(|sim| sim.step_with(|opts| rng.gen_range(0..opts.len())).is_some())
+    }
+
+    /// Runs the world under a seeded random schedule that also reorders
+    /// messages within channels (requires the cluster to have been built
+    /// with [`shmem_sim::ChannelOrder::Any`]) until quiescence.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::StepLimit`] if the protocol livelocks.
+    pub fn run_seeded_reorder(&mut self, seed: u64) -> Result<u64, RunError> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        self.run_with(|sim| {
+            sim.step_with_reorder(|opts| {
+                let oi = rng.gen_range(0..opts.len());
+                let mi = rng.gen_range(0..opts[oi].1);
+                (oi, mi)
+            })
+            .is_some()
+        })
+    }
+
+    /// Steps under `rng`'s schedule until no client of `watch` has an
+    /// open operation; returns the steps taken.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Stuck`] if the world quiesces first,
+    /// [`RunError::StepLimit`] if the protocol livelocks.
+    pub(crate) fn drain(&mut self, rng: &mut DetRng, watch: &[u32]) -> Result<u64, RunError> {
+        let mut stuck = false;
+        let steps = self.run_with(|sim| {
+            if !watch.iter().any(|&c| sim.has_open_op(ClientId(c))) {
+                return false;
+            }
+            stuck = sim.step_with(|opts| rng.gen_range(0..opts.len())).is_none();
+            !stuck
+        })?;
+        if stuck {
+            return Err(RunError::Stuck {
+                client: ClientId(watch[0]),
+            });
+        }
+        Ok(steps)
+    }
+
+    /// Runs the world fairly until quiescence.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::StepLimit`] if the protocol livelocks.
+    pub fn run_fair(&mut self) -> Result<u64, RunError> {
+        self.sim.run_to_quiescence()
+    }
+
+    /// Measured storage peaks.
+    pub fn storage(&self) -> StorageSnapshot {
+        self.sim.storage()
+    }
+}
+
+impl<P: Protocol<Inv = RegInv, Resp = RegResp>> Cluster<P> {
     /// Completes a full write at `client`, running the world fairly.
     ///
     /// # Errors
@@ -168,75 +307,6 @@ impl<P: Protocol<Inv = RegInv, Resp = RegResp>> Cluster<P> {
         }
     }
 
-    /// Starts an operation without running it — for concurrent workloads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn begin(&mut self, client: u32, inv: RegInv) -> Result<(), RunError> {
-        self.sim.invoke(ClientId(client), inv)
-    }
-
-    /// Runs the world under a seeded random schedule until quiescence —
-    /// completes all open operations under an arbitrary interleaving.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::StepLimit`] if the protocol livelocks.
-    pub fn run_seeded(&mut self, seed: u64) -> Result<u64, RunError> {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut steps = 0u64;
-        let limit = self.sim.config().step_limit;
-        while self
-            .sim
-            .step_with(|opts| rng.gen_range(0..opts.len()))
-            .is_some()
-        {
-            steps += 1;
-            if steps > limit {
-                return Err(RunError::StepLimit { steps: limit });
-            }
-        }
-        Ok(steps)
-    }
-
-    /// Runs the world under a seeded random schedule that also reorders
-    /// messages within channels (requires the cluster to have been built
-    /// with [`shmem_sim::ChannelOrder::Any`]) until quiescence.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::StepLimit`] if the protocol livelocks.
-    pub fn run_seeded_reorder(&mut self, seed: u64) -> Result<u64, RunError> {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut steps = 0u64;
-        let limit = self.sim.config().step_limit;
-        while self
-            .sim
-            .step_with_reorder(|opts| {
-                let oi = rng.gen_range(0..opts.len());
-                let mi = rng.gen_range(0..opts[oi].1);
-                (oi, mi)
-            })
-            .is_some()
-        {
-            steps += 1;
-            if steps > limit {
-                return Err(RunError::StepLimit { steps: limit });
-            }
-        }
-        Ok(steps)
-    }
-
-    /// Runs the world fairly until quiescence.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::StepLimit`] if the protocol livelocks.
-    pub fn run_fair(&mut self) -> Result<u64, RunError> {
-        self.sim.run_to_quiescence()
-    }
-
     /// The execution's history as a [`shmem_spec`] register history.
     pub fn history(&self) -> History<Value> {
         let mut h = History::new(self.initial);
@@ -253,14 +323,58 @@ impl<P: Protocol<Inv = RegInv, Resp = RegResp>> Cluster<P> {
         }
         h
     }
+}
 
-    /// Measured storage peaks.
-    pub fn storage(&self) -> StorageSnapshot {
-        self.sim.storage()
+impl<P: Protocol<Inv = MultiInv, Resp = MultiResp>> Cluster<P> {
+    /// Completes a batched write at `client`, running the world fairly.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    pub fn write_batch(&mut self, client: u32, pairs: &[(Key, Value)]) -> Result<(), RunError> {
+        self.sim.invoke(ClientId(client), MultiInv::writes(pairs))?;
+        self.sim.run_until_op_completes(ClientId(client))?;
+        Ok(())
+    }
+
+    /// Completes a batched read at `client`, returning per-key outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    pub fn read_batch(&mut self, client: u32, keys: &[Key]) -> Result<MultiResp, RunError> {
+        self.sim.invoke(ClientId(client), MultiInv::reads(keys))?;
+        self.sim.run_until_op_completes(ClientId(client))
+    }
+
+    /// The execution projected into one single-register history per key —
+    /// feed each to the unmodified `shmem-spec` checkers.
+    pub fn histories(&self) -> BTreeMap<Key, History<Value>> {
+        project_histories(self.initial, self.sim.ops())
     }
 }
 
 impl AbdCluster {
+    fn build(
+        config: SimConfig,
+        n: u32,
+        f: u32,
+        clients: u32,
+        spec: ValueSpec,
+        initial: Value,
+    ) -> Self {
+        assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
+        Cluster::assemble(
+            config,
+            ShardMap::full(n),
+            f,
+            initial,
+            Vec::new(),
+            (0..n).map(|_| AbdServer::new(initial, spec)).collect(),
+            (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+        )
+    }
+
     /// An ABD cluster: `n` servers tolerating `f` failures (must be a
     /// minority), `clients` clients, values from a `spec`-sized domain.
     ///
@@ -278,17 +392,8 @@ impl AbdCluster {
     ///
     /// Panics unless `2f < n`.
     pub fn reordering(n: u32, f: u32, clients: u32, spec: ValueSpec) -> AbdCluster {
-        assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip().reordering(),
-                (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
-            f,
-            codec_geometries: Vec::new(),
-        }
+        let config = SimConfig::without_gossip().reordering();
+        Self::build(config, n, f, clients, spec, 0)
     }
 
     /// Same, with an explicit initial register value.
@@ -303,21 +408,25 @@ impl AbdCluster {
         spec: ValueSpec,
         initial: Value,
     ) -> AbdCluster {
-        assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n).map(|_| AbdServer::new(initial, spec)).collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial,
-            f,
-            codec_geometries: Vec::new(),
-        }
+        Self::build(SimConfig::without_gossip(), n, f, clients, spec, initial)
     }
 }
 
 impl CasCluster {
+    fn build(config: SimConfig, cfg: CasConfig, clients: u32, initial: Value) -> CasCluster {
+        Cluster::assemble(
+            config,
+            ShardMap::full(cfg.n),
+            cfg.f,
+            initial,
+            vec![(cfg.n, cfg.k)],
+            (0..cfg.n)
+                .map(|i| CasServer::new(cfg, ServerId(i), initial))
+                .collect(),
+            (0..clients).map(|c| CasClient::new(cfg, c)).collect(),
+        )
+    }
+
     /// A CAS/CASGC cluster from a validated [`CasConfig`].
     pub fn from_config(cfg: CasConfig, clients: u32) -> CasCluster {
         Self::from_config_with_initial(cfg, clients, 0)
@@ -325,18 +434,7 @@ impl CasCluster {
 
     /// Same, with an explicit initial register value.
     pub fn from_config_with_initial(cfg: CasConfig, clients: u32, initial: Value) -> CasCluster {
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..cfg.n)
-                    .map(|i| CasServer::new(cfg, ServerId(i), initial))
-                    .collect(),
-                (0..clients).map(|c| CasClient::new(cfg, c)).collect(),
-            ),
-            initial,
-            f: cfg.f,
-            codec_geometries: vec![(cfg.n, cfg.k)],
-        }
+        Self::build(SimConfig::without_gossip(), cfg, clients, initial)
     }
 
     /// Plain CAS with the native `k = N − 2f` code.
@@ -363,19 +461,8 @@ impl CasCluster {
     ///
     /// Panics unless `2f < n`.
     pub fn reordering(n: u32, f: u32, clients: u32, spec: ValueSpec) -> CasCluster {
-        let cfg = CasConfig::native(n, f, spec);
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip().reordering(),
-                (0..cfg.n)
-                    .map(|i| CasServer::new(cfg, ServerId(i), 0))
-                    .collect(),
-                (0..clients).map(|c| CasClient::new(cfg, c)).collect(),
-            ),
-            initial: 0,
-            f,
-            codec_geometries: vec![(cfg.n, cfg.k)],
-        }
+        let config = SimConfig::without_gossip().reordering();
+        Self::build(config, CasConfig::native(n, f, spec), clients, 0)
     }
 }
 
@@ -387,38 +474,24 @@ impl GossipCluster {
     /// Panics unless `2f < n`.
     pub fn new(n: u32, f: u32, clients: u32, spec: ValueSpec) -> GossipCluster {
         assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::with_gossip(),
-                (0..n).map(|i| GossipServer::new(i, n, 0, spec)).collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        Cluster::assemble(
+            SimConfig::with_gossip(),
+            ShardMap::full(n),
             f,
-            codec_geometries: Vec::new(),
-        }
+            0,
+            Vec::new(),
+            (0..n).map(|i| GossipServer::new(i, n, 0, spec)).collect(),
+            (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+        )
     }
 }
 
 impl LossyCluster {
     /// The broken cheap cluster: servers keep only `kept_bits` per value.
     pub fn new(n: u32, f: u32, clients: u32, kept_bits: u32, spec: ValueSpec) -> LossyCluster {
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n)
-                    .map(|_| LossyServer::new(0, kept_bits, spec))
-                    .collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
-            f,
-            codec_geometries: Vec::new(),
-        }
+        Self::with_bit_rot(n, f, clients, n, kept_bits, spec)
     }
-}
 
-impl LossyCluster {
     /// The *subtly* broken cheap cluster: only the first `rotten` servers
     /// truncate to `kept_bits`; the rest keep (effectively) everything.
     ///
@@ -435,20 +508,19 @@ impl LossyCluster {
         kept_bits: u32,
         spec: ValueSpec,
     ) -> LossyCluster {
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n)
-                    // 63 kept bits is lossless for every value the nemesis
-                    // driver writes; the server type stays uniform.
-                    .map(|i| LossyServer::new(0, if i < rotten { kept_bits } else { 63 }, spec))
-                    .collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        Cluster::assemble(
+            SimConfig::without_gossip(),
+            ShardMap::full(n),
             f,
-            codec_geometries: Vec::new(),
-        }
+            0,
+            Vec::new(),
+            (0..n)
+                // 63 kept bits is lossless for every value the nemesis
+                // driver writes; the server type stays uniform.
+                .map(|i| LossyServer::new(0, if i < rotten { kept_bits } else { 63 }, spec))
+                .collect(),
+            (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+        )
     }
 }
 
@@ -462,16 +534,15 @@ impl NwbCluster {
     /// Panics unless `2f < n`.
     pub fn new(n: u32, f: u32, clients: u32, spec: ValueSpec) -> NwbCluster {
         assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-                (0..clients).map(|c| NwbClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        Cluster::assemble(
+            SimConfig::without_gossip(),
+            ShardMap::full(n),
             f,
-            codec_geometries: Vec::new(),
-        }
+            0,
+            Vec::new(),
+            (0..n).map(|_| AbdServer::new(0, spec)).collect(),
+            (0..clients).map(|c| NwbClient::new(n, c)).collect(),
+        )
     }
 }
 
@@ -483,167 +554,17 @@ impl HashedCluster {
     /// Panics unless `2f < n`.
     pub fn new(n: u32, f: u32, clients: u32, spec: ValueSpec) -> HashedCluster {
         let cfg = CasConfig::native(n, f, spec);
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..cfg.n)
-                    .map(|i| HashedServer::new(cfg, ServerId(i), 0))
-                    .collect(),
-                (0..clients).map(|c| HashedClient::new(cfg, c)).collect(),
-            ),
-            initial: 0,
+        Cluster::assemble(
+            SimConfig::without_gossip(),
+            ShardMap::full(n),
             f,
-            codec_geometries: vec![(cfg.n, cfg.k)],
-        }
-    }
-}
-
-/// A running sharded multi-register cluster of any protocol with the
-/// batched [`MultiInv`]/[`MultiResp`] interface.
-///
-/// # Examples
-///
-/// ```
-/// use shmem_algorithms::harness::ShardedAbdCluster;
-/// use shmem_algorithms::{RegResp, ShardMap};
-///
-/// let map = ShardMap::new(6, 2, 3);
-/// let mut c = ShardedAbdCluster::new(map, 1, 2, shmem_algorithms::ValueSpec::from_bits(64.0));
-/// c.write_batch(0, &[(1, 11), (2, 22)])?;
-/// let got = c.read_batch(1, &[1, 2])?;
-/// assert_eq!(got.get(1), Some(&RegResp::ReadValue(11)));
-/// # Ok::<(), shmem_sim::RunError>(())
-/// ```
-pub struct MultiCluster<P: Protocol<Inv = MultiInv, Resp = MultiResp>> {
-    /// The underlying simulated world, exposed for adversary control.
-    pub sim: Sim<P>,
-    initial: Value,
-    map: ShardMap,
-    f: u32,
-    codec_geometries: Vec<(u32, u32)>,
-}
-
-/// Sharded multi-register ABD cluster alias.
-pub type ShardedAbdCluster = MultiCluster<ShardedAbd>;
-/// Sharded multi-register CAS cluster alias.
-pub type ShardedCasCluster = MultiCluster<ShardedCas>;
-/// Sharded multi-register hashed-CAS cluster alias.
-pub type ShardedHashedCluster = MultiCluster<ShardedHashed>;
-
-impl<P: Protocol<Inv = MultiInv, Resp = MultiResp>> MultiCluster<P> {
-    /// The per-shard failure budget the cluster was built for.
-    pub fn f(&self) -> u32 {
-        self.f
-    }
-
-    /// Every register's initial value.
-    pub fn initial(&self) -> Value {
-        self.initial
-    }
-
-    /// The key → shard → server placement.
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
-    /// Turns on full metering and returns the cluster — chainable after
-    /// any constructor.
-    #[must_use]
-    pub fn metered(mut self) -> Self {
-        self.sim.set_metrics(shmem_sim::MetricsLevel::Full);
-        self
-    }
-
-    /// The cluster's metrics registry.
-    pub fn metrics(&self) -> &shmem_sim::MetricsRegistry {
-        self.sim.metrics()
-    }
-
-    /// Deterministic JSON export of the metrics registry plus live gauges
-    /// and the decode-plan cache counters of every codec geometry in use.
-    pub fn metrics_json(&self) -> shmem_util::json::Json {
-        let mut doc = self.sim.metrics_json();
-        append_codecs_section(&mut doc, &self.codec_geometries);
-        doc
-    }
-
-    /// The erasure-code geometries `(n, k)` this cluster reports codec
-    /// stats for.
-    pub fn codec_geometries(&self) -> &[(u32, u32)] {
-        &self.codec_geometries
-    }
-
-    /// Completes a batched write at `client`, running the world fairly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn write_batch(&mut self, client: u32, pairs: &[(Key, Value)]) -> Result<(), RunError> {
-        self.sim.invoke(ClientId(client), MultiInv::writes(pairs))?;
-        self.sim.run_until_op_completes(ClientId(client))?;
-        Ok(())
-    }
-
-    /// Completes a batched read at `client`, returning per-key outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn read_batch(&mut self, client: u32, keys: &[Key]) -> Result<MultiResp, RunError> {
-        self.sim.invoke(ClientId(client), MultiInv::reads(keys))?;
-        self.sim.run_until_op_completes(ClientId(client))
-    }
-
-    /// Starts a batched operation without running it — for concurrent
-    /// workloads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn begin(&mut self, client: u32, inv: MultiInv) -> Result<(), RunError> {
-        self.sim.invoke(ClientId(client), inv)
-    }
-
-    /// Runs the world under a seeded random schedule until quiescence.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::StepLimit`] if the protocol livelocks.
-    pub fn run_seeded(&mut self, seed: u64) -> Result<u64, RunError> {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut steps = 0u64;
-        let limit = self.sim.config().step_limit;
-        while self
-            .sim
-            .step_with(|opts| rng.gen_range(0..opts.len()))
-            .is_some()
-        {
-            steps += 1;
-            if steps > limit {
-                return Err(RunError::StepLimit { steps: limit });
-            }
-        }
-        Ok(steps)
-    }
-
-    /// Runs the world fairly until quiescence.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::StepLimit`] if the protocol livelocks.
-    pub fn run_fair(&mut self) -> Result<u64, RunError> {
-        self.sim.run_to_quiescence()
-    }
-
-    /// The execution projected into one single-register history per key —
-    /// feed each to the unmodified `shmem-spec` checkers.
-    pub fn histories(&self) -> BTreeMap<Key, History<Value>> {
-        project_histories(self.initial, self.sim.ops())
-    }
-
-    /// Measured storage peaks.
-    pub fn storage(&self) -> StorageSnapshot {
-        self.sim.storage()
+            0,
+            vec![(cfg.n, cfg.k)],
+            (0..cfg.n)
+                .map(|i| HashedServer::new(cfg, ServerId(i), 0))
+                .collect(),
+            (0..clients).map(|c| HashedClient::new(cfg, c)).collect(),
+        )
     }
 }
 
@@ -659,44 +580,38 @@ impl ShardedAbdCluster {
             2 * f < map.replicas(),
             "sharded ABD requires 2f < replicas per shard"
         );
-        MultiCluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..map.n())
-                    .map(|_| ShardedAbdServer::new(0, spec))
-                    .collect(),
-                (0..clients)
-                    .map(|c| ShardedAbdClient::new(map, c))
-                    .collect(),
-            ),
-            initial: 0,
+        Cluster::assemble(
+            SimConfig::without_gossip(),
             map,
             f,
-            codec_geometries: Vec::new(),
-        }
+            0,
+            Vec::new(),
+            (0..map.n())
+                .map(|_| ShardedAbdServer::new(0, spec))
+                .collect(),
+            (0..clients)
+                .map(|c| ShardedAbdClient::new(map, c))
+                .collect(),
+        )
     }
 }
 
 impl ShardedCasCluster {
     /// A sharded CAS cluster from a validated [`ShardedCasConfig`].
     pub fn from_config(cfg: ShardedCasConfig, clients: u32) -> ShardedCasCluster {
-        let map = cfg.map;
-        let geometry = (map.replicas(), cfg.k);
-        MultiCluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..map.n())
-                    .map(|i| ShardedCasServer::new(cfg.clone(), ServerId(i), 0))
-                    .collect(),
-                (0..clients)
-                    .map(|c| ShardedCasClient::new(cfg.clone(), c))
-                    .collect(),
-            ),
-            initial: 0,
-            map,
-            f: cfg.f,
-            codec_geometries: vec![geometry],
-        }
+        Cluster::assemble(
+            SimConfig::without_gossip(),
+            cfg.map,
+            cfg.f,
+            0,
+            vec![(cfg.map.replicas(), cfg.k)],
+            (0..cfg.map.n())
+                .map(|i| ShardedCasServer::new(cfg.clone(), ServerId(i), 0))
+                .collect(),
+            (0..clients)
+                .map(|c| ShardedCasClient::new(cfg.clone(), c))
+                .collect(),
+        )
     }
 
     /// Sharded CAS with the native per-shard `k = replicas − 2f` code.
@@ -728,22 +643,19 @@ impl ShardedHashedCluster {
     /// Panics unless `2f < replicas`.
     pub fn new(map: ShardMap, f: u32, clients: u32, spec: ValueSpec) -> ShardedHashedCluster {
         let cfg = ShardedCasConfig::native(map, f, spec);
-        let geometry = (map.replicas(), cfg.k);
-        MultiCluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..map.n())
-                    .map(|i| ShardedHashedServer::new(cfg.clone(), ServerId(i), 0))
-                    .collect(),
-                (0..clients)
-                    .map(|c| ShardedHashedClient::new(cfg.clone(), c))
-                    .collect(),
-            ),
-            initial: 0,
+        Cluster::assemble(
+            SimConfig::without_gossip(),
             map,
-            f: cfg.f,
-            codec_geometries: vec![geometry],
-        }
+            f,
+            0,
+            vec![(map.replicas(), cfg.k)],
+            (0..map.n())
+                .map(|i| ShardedHashedServer::new(cfg.clone(), ServerId(i), 0))
+                .collect(),
+            (0..clients)
+                .map(|c| ShardedHashedClient::new(cfg.clone(), c))
+                .collect(),
+        )
     }
 }
 
@@ -765,6 +677,7 @@ pub fn run_concurrent_workload<P: Protocol<Inv = RegInv, Resp = RegResp>>(
 ) -> Result<(), RunError> {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut next_value = 1u64;
+    let watch: Vec<u32> = (0..writers + readers).collect();
     for _ in 0..rounds {
         for w in 0..writers {
             cluster.begin(w, RegInv::Write(next_value))?;
@@ -774,28 +687,7 @@ pub fn run_concurrent_workload<P: Protocol<Inv = RegInv, Resp = RegResp>>(
             cluster.begin(writers + r, RegInv::Read)?;
         }
         // Interleave: random schedule until all ops of the round complete.
-        let mut budget = cluster.sim.config().step_limit;
-        loop {
-            let open = (0..writers + readers).any(|c| cluster.sim.has_open_op(ClientId(c)));
-            if !open {
-                break;
-            }
-            if cluster
-                .sim
-                .step_with(|opts| rng.gen_range(0..opts.len()))
-                .is_none()
-            {
-                return Err(RunError::Stuck {
-                    client: ClientId(0),
-                });
-            }
-            budget -= 1;
-            if budget == 0 {
-                return Err(RunError::StepLimit {
-                    steps: cluster.sim.config().step_limit,
-                });
-            }
-        }
+        cluster.drain(&mut rng, &watch)?;
     }
     Ok(())
 }

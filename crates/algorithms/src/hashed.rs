@@ -29,6 +29,7 @@ use crate::value::{Value, ValueSpec};
 use shmem_erasure::CodeError;
 use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol, ServerId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 
 /// Protocol marker for hashed CAS.
 pub struct HashedCas;
@@ -450,21 +451,27 @@ impl Node<HashedCas> for HashedClient {
 /// hash-announcement round between tag query and pre-write — still one
 /// message per (client, server) pair, carrying `(key, tag, h(v))` for
 /// every covered key.
-pub struct ShardedHashed;
+///
+/// The parameter is the [`HashedBackend`] the servers keep their state
+/// in ([`LocalHashed`] by default); see [`crate::abd::ShardedAbd`].
+pub struct ShardedHashed<B = LocalHashed>(PhantomData<fn() -> B>);
 
-impl Protocol for ShardedHashed {
+impl<B> Protocol for ShardedHashed<B>
+where
+    B: HashedBackend + Clone + std::fmt::Debug + 'static,
+{
     type Msg = ShardedHashedMsg;
     type Inv = MultiInv;
     type Resp = MultiResp;
-    type Server = ShardedHashedServer;
+    type Server = ShardedHashedServerOn<B>;
     type Client = ShardedHashedClient;
 
     fn msg_wire_bytes(msg: &ShardedHashedMsg) -> u64 {
         msg.wire_bytes()
     }
 
-    fn corrupt_server(server: &mut ShardedHashedServer, mode: u8, salt: u64) -> bool {
-        server.corrupt(mode, salt)
+    fn corrupt_server(server: &mut ShardedHashedServerOn<B>, mode: u8, salt: u64) -> bool {
+        server.backend_mut().corrupt(mode, salt)
     }
 
     fn corrupt_msg(msg: &mut ShardedHashedMsg, salt: u64) -> bool {
@@ -605,14 +612,6 @@ impl<B: HashedBackend> ShardedHashedServerOn<B> {
     /// server's stored state.
     pub fn backend_mut(&mut self) -> &mut B {
         self.inner.backend_mut()
-    }
-}
-
-impl ShardedHashedServerOn<LocalHashed> {
-    /// Corruption-adversary entry point: tamper the coded slots only —
-    /// announced hashes are off-limits (see [`LocalHashed::corrupt`]).
-    pub fn corrupt(&mut self, mode: u8, salt: u64) -> bool {
-        self.inner.backend_mut().corrupt(mode, salt)
     }
 }
 

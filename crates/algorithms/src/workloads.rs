@@ -7,10 +7,10 @@
 //! writes stay active forever (the "failed write operations whose codeword
 //! symbols have not been propagated" scenario of the introduction).
 
-use crate::harness::{Cluster, MultiCluster};
+use crate::harness::Cluster;
 use crate::multikey::{Key, MultiInv, MultiResp};
 use crate::reg::{RegInv, RegResp};
-use shmem_sim::{ClientId, NodeId, Protocol, RunError};
+use shmem_sim::{NodeId, Protocol, RunError};
 use shmem_util::DetRng;
 
 /// Outcome of a workload run.
@@ -25,34 +25,6 @@ pub struct WorkloadReport {
     /// The measured `ν`: the maximum number of concurrently active writes
     /// (per Section 2.3's definition, computed from the history).
     pub measured_nu: usize,
-}
-
-fn drain<P: Protocol<Inv = RegInv, Resp = RegResp>>(
-    cluster: &mut Cluster<P>,
-    rng: &mut DetRng,
-    watch: &[u32],
-) -> Result<u64, RunError> {
-    let mut steps = 0u64;
-    let limit = cluster.sim.config().step_limit;
-    loop {
-        let open = watch.iter().any(|&c| cluster.sim.has_open_op(ClientId(c)));
-        if !open {
-            return Ok(steps);
-        }
-        if cluster
-            .sim
-            .step_with(|opts| rng.gen_range(0..opts.len()))
-            .is_none()
-        {
-            return Err(RunError::Stuck {
-                client: ClientId(watch[0]),
-            });
-        }
-        steps += 1;
-        if steps > limit {
-            return Err(RunError::StepLimit { steps: limit });
-        }
-    }
 }
 
 fn report<P: Protocol<Inv = RegInv, Resp = RegResp>>(
@@ -89,7 +61,7 @@ pub fn run_bursty<P: Protocol<Inv = RegInv, Resp = RegResp>>(
             cluster.begin(w, RegInv::Write(next))?;
             next += 1;
         }
-        steps += drain(cluster, &mut rng, &watch)?;
+        steps += cluster.drain(&mut rng, &watch)?;
     }
     Ok(report(cluster, steps))
 }
@@ -114,7 +86,7 @@ pub fn run_ramp<P: Protocol<Inv = RegInv, Resp = RegResp>>(
             cluster.begin(w, RegInv::Write(next))?;
             next += 1;
         }
-        steps += drain(cluster, &mut rng, &watch)?;
+        steps += cluster.drain(&mut rng, &watch)?;
     }
     Ok(report(cluster, steps))
 }
@@ -158,9 +130,9 @@ pub fn run_crashy<P: Protocol<Inv = RegInv, Resp = RegResp>>(
         cluster.sim.fail(NodeId::client(round));
         // A surviving writer and reader still make progress.
         cluster.begin(survivor, RegInv::Write(next))?;
-        steps += drain(cluster, &mut rng, &[survivor])?;
+        steps += cluster.drain(&mut rng, &[survivor])?;
         cluster.begin(reader, RegInv::Read)?;
-        steps += drain(cluster, &mut rng, &[reader])?;
+        steps += cluster.drain(&mut rng, &[reader])?;
     }
     Ok(report(cluster, steps))
 }
@@ -249,7 +221,7 @@ impl ZipfKeys {
 ///
 /// Propagates simulator errors.
 pub fn run_zipf_batches<P: Protocol<Inv = MultiInv, Resp = MultiResp>>(
-    cluster: &mut MultiCluster<P>,
+    cluster: &mut Cluster<P>,
     zipf: &ZipfKeys,
     writers: u32,
     readers: u32,
@@ -260,7 +232,7 @@ pub fn run_zipf_batches<P: Protocol<Inv = MultiInv, Resp = MultiResp>>(
     let mut rng = DetRng::seed_from_u64(seed);
     let mut next_value = 1u64;
     let mut steps = 0u64;
-    let limit = cluster.sim.config().step_limit;
+    let watch: Vec<u32> = (0..writers + readers).collect();
     for _ in 0..rounds {
         for w in 0..writers {
             let keys = zipf.sample_batch(&mut rng, batch);
@@ -277,27 +249,7 @@ pub fn run_zipf_batches<P: Protocol<Inv = MultiInv, Resp = MultiResp>>(
             let keys = zipf.sample_batch(&mut rng, batch);
             cluster.begin(writers + r, MultiInv::reads(&keys))?;
         }
-        let mut budget = limit;
-        loop {
-            let open = (0..writers + readers).any(|c| cluster.sim.has_open_op(ClientId(c)));
-            if !open {
-                break;
-            }
-            if cluster
-                .sim
-                .step_with(|opts| rng.gen_range(0..opts.len()))
-                .is_none()
-            {
-                return Err(RunError::Stuck {
-                    client: ClientId(0),
-                });
-            }
-            steps += 1;
-            budget -= 1;
-            if budget == 0 {
-                return Err(RunError::StepLimit { steps: limit });
-            }
-        }
+        steps += cluster.drain(&mut rng, &watch)?;
     }
     Ok(steps)
 }

@@ -1571,8 +1571,8 @@ mod nemesis_tests {
 /// isolates pure observer overhead.
 ///
 /// `scripts/check.sh` gates on this table via `perf-smoke`, which
-/// compares the min column against `crates/bench/baselines/simperf.json`
-/// with a 2× tolerance.
+/// divides the min column by a calibration loop timed in the same
+/// process and compares the ratios against limits of about 2×.
 pub fn simperf_table(trials: u32, writes: u32) -> Table {
     let mut t = Table::new(
         format!("Simulator step throughput, {writes} writes/trial, {trials} trials/cell"),
@@ -1618,7 +1618,7 @@ pub struct SimperfCell {
 
 /// Measures one (cluster size, fault rate, metrics) configuration; see
 /// [`simperf_table`]. Exposed so the `perf-smoke` gate can probe exactly
-/// the configurations recorded in its baseline file.
+/// the configurations it has limits for.
 pub fn simperf_cell(
     n: u32,
     f: u32,

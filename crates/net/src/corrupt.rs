@@ -53,7 +53,6 @@ impl NetCorruption {
 pub struct CorruptingTransport<T, P> {
     inner: T,
     salt: Option<u64>,
-    tampered: u64,
     _proto: PhantomData<fn() -> P>,
 }
 
@@ -63,14 +62,8 @@ impl<T, P> CorruptingTransport<T, P> {
         CorruptingTransport {
             inner,
             salt,
-            tampered: 0,
             _proto: PhantomData,
         }
-    }
-
-    /// How many outbound payloads were actually mutated.
-    pub fn tampered(&self) -> u64 {
-        self.tampered
     }
 }
 
@@ -86,7 +79,6 @@ where
         };
         if let Ok(mut msg) = P::Msg::from_wire(&env.payload) {
             if P::corrupt_msg(&mut msg, salt) {
-                self.tampered += 1;
                 return self.inner.send(&Envelope {
                     from: env.from,
                     to: env.to,

@@ -6,7 +6,7 @@
 //! asynchronous network, and the spec-checker differential tests rely
 //! on failed operations being recorded as *incomplete*, not as crashes.
 
-use shmem_sim::{ClientId, NodeId, RunError};
+use shmem_sim::NodeId;
 use std::fmt;
 
 /// Decoding errors of the binary payload codec ([`crate::wire`]).
@@ -130,11 +130,6 @@ pub enum NetError {
         /// The unreachable peer.
         peer: NodeId,
     },
-    /// An operation did not complete within its deadline.
-    OpTimeout {
-        /// The client whose operation timed out.
-        client: ClientId,
-    },
     /// The transport or cluster was shut down.
     Shutdown,
 }
@@ -168,31 +163,12 @@ impl fmt::Display for NetError {
             NetError::Frame(e) => write!(f, "framing error: {e}"),
             NetError::Wire(e) => write!(f, "payload decode error: {e}"),
             NetError::Disconnected { peer } => write!(f, "peer {peer} is unreachable"),
-            NetError::OpTimeout { client } => {
-                write!(f, "operation at {client} missed its deadline")
-            }
             NetError::Shutdown => write!(f, "transport shut down"),
         }
     }
 }
 
 impl std::error::Error for NetError {}
-
-impl From<NetError> for RunError {
-    /// Maps a network failure onto the harness error vocabulary: an op
-    /// that dies on the wire is an [`RunError::OperationFailed`], keeping
-    /// net-mode drivers source-compatible with sim-mode ones.
-    fn from(e: NetError) -> RunError {
-        let client = match e {
-            NetError::OpTimeout { client } => client,
-            _ => ClientId(u32::MAX),
-        };
-        RunError::OperationFailed {
-            client,
-            detail: e.to_string(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -207,16 +183,5 @@ mod tests {
         assert!(e.to_string().contains("exceeds cap"));
         let w = NetError::Wire(WireError::Truncated { needed: 8, left: 3 });
         assert!(w.to_string().contains("truncated"));
-    }
-
-    #[test]
-    fn run_error_conversion_carries_client() {
-        let e = NetError::OpTimeout {
-            client: ClientId(7),
-        };
-        match RunError::from(e) {
-            RunError::OperationFailed { client, .. } => assert_eq!(client, ClientId(7)),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -10,7 +10,7 @@
 use crate::client::{run_worker, LoadConfig, WorkerReport};
 use crate::corrupt::{CorruptingTransport, NetCorruption};
 use crate::error::NetError;
-use crate::serve::{serve_shared, serve_until, ServeStats};
+use crate::serve::{serve_shared, serve_until};
 use crate::tcp::{addr_table, AddrTable, PoolFaults, TcpClientTransport, TcpServerTransport};
 use crate::transport::InProcHub;
 use crate::wire::WireMsg;
@@ -56,13 +56,10 @@ impl NetAlgorithm {
 
     /// Parses a table/CLI name.
     pub fn parse(s: &str) -> Option<NetAlgorithm> {
-        match s {
-            "abd" => Some(NetAlgorithm::Abd),
-            "cas" => Some(NetAlgorithm::Cas),
-            "coded-cas" => Some(NetAlgorithm::CodedCas),
-            "hashed" => Some(NetAlgorithm::Hashed),
-            _ => None,
-        }
+        use NetAlgorithm::{Abd, Cas, CodedCas, Hashed};
+        [Abd, Cas, CodedCas, Hashed]
+            .into_iter()
+            .find(|a| a.name() == s)
     }
 }
 
@@ -88,12 +85,25 @@ impl NetBackend {
 
 enum BackendState {
     InProc(InProcHub),
-    Tcp { table: AddrTable },
+    /// The servers' current addresses, shared with every client pool.
+    Tcp(AddrTable),
 }
 
+impl BackendState {
+    fn fresh(backend: NetBackend) -> BackendState {
+        match backend {
+            NetBackend::InProc => BackendState::InProc(InProcHub::new()),
+            NetBackend::Tcp => BackendState::Tcp(addr_table(Vec::new())),
+        }
+    }
+}
+
+/// A live server incarnation: its stop flag and its thread, which
+/// returns the worker pool.
+type Incarnation<S> = (Arc<AtomicBool>, JoinHandle<Vec<S>>);
+
 struct ServerSlot<P: Protocol> {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<(Vec<P::Server>, ServeStats)>>,
+    running: Option<Incarnation<P::Server>>,
     /// The worker pool of a killed server, retained for restart (the
     /// durable-storage crash model: state survives, volatile connections
     /// do not). Legacy single-threaded servers are a pool of one; a
@@ -105,7 +115,6 @@ struct ServerSlot<P: Protocol> {
 pub struct NetCluster<P: Protocol> {
     backend: BackendState,
     servers: Vec<ServerSlot<P>>,
-    stats: Vec<ServeStats>,
     epoch: Instant,
     /// Byzantine corruption policy: listed servers send through a
     /// [`CorruptingTransport`] armed with the policy's salt.
@@ -120,6 +129,7 @@ pub struct LoadHandle {
 }
 
 /// Aggregated outcome of one load.
+#[derive(Default)]
 pub struct NetRunReport {
     /// All workers' operation records, usable with `project_histories`.
     pub records: Vec<OpRecord<MultiInv, MultiResp>>,
@@ -182,22 +192,11 @@ where
     P::Server: Send + 'static,
     P::Client: Send + 'static,
 {
-    /// Starts one event loop per automaton over `backend`.
+    /// Starts one single-threaded event loop ([`serve_until`]) per
+    /// automaton over `backend`.
     pub fn start(backend: NetBackend, automata: Vec<P::Server>) -> NetCluster<P> {
-        NetCluster::start_corrupt(backend, automata, None)
-    }
-
-    /// [`NetCluster::start`] with a Byzantine corruption policy.
-    pub fn start_corrupt(
-        backend: NetBackend,
-        automata: Vec<P::Server>,
-        corrupt: Option<NetCorruption>,
-    ) -> NetCluster<P> {
-        NetCluster::start_pooled_corrupt(
-            backend,
-            automata.into_iter().map(|a| vec![a]).collect(),
-            corrupt,
-        )
+        let pools = automata.into_iter().map(|a| vec![a]).collect();
+        NetCluster::start_pooled(backend, pools)
     }
 
     /// Starts one server per *pool* of worker automata over `backend`.
@@ -208,40 +207,31 @@ where
     /// automata share state through a concurrent backend (`shmem-store`)
     /// — the harness cannot check that, so it is the caller's contract.
     pub fn start_pooled(backend: NetBackend, pools: Vec<Vec<P::Server>>) -> NetCluster<P> {
-        NetCluster::start_pooled_corrupt(backend, pools, None)
+        NetCluster::over(BackendState::fresh(backend), pools, None)
     }
 
-    /// [`NetCluster::start_pooled`] with a Byzantine corruption policy:
-    /// every server listed in `corrupt` sends its frames through a
-    /// [`CorruptingTransport`], tampering value-bearing payloads
+    /// The one constructor: `pools` launched over `backend`, every server
+    /// listed in `corrupt` sending its frames through an armed
+    /// [`CorruptingTransport`] that tampers value-bearing payloads
     /// deterministically in the policy's salt. Honest servers (and every
     /// server when `corrupt` is `None`) behave byte-identically to an
     /// unwrapped cluster.
-    pub fn start_pooled_corrupt(
-        backend: NetBackend,
+    fn over(
+        backend: BackendState,
         pools: Vec<Vec<P::Server>>,
         corrupt: Option<NetCorruption>,
     ) -> NetCluster<P> {
-        let backend = match backend {
-            NetBackend::InProc => BackendState::InProc(InProcHub::new()),
-            NetBackend::Tcp => BackendState::Tcp {
-                table: addr_table(Vec::new()),
-            },
-        };
         let mut cluster = NetCluster {
             backend,
             servers: Vec::new(),
-            stats: Vec::new(),
             epoch: Instant::now(),
             corrupt,
         };
         for (i, pool) in pools.into_iter().enumerate() {
             cluster.servers.push(ServerSlot {
-                stop: Arc::new(AtomicBool::new(false)),
-                join: None,
+                running: None,
                 parked: Some(pool),
             });
-            cluster.stats.push(ServeStats::default());
             cluster.launch(i);
         }
         cluster
@@ -254,9 +244,9 @@ where
             .take()
             .expect("server automaton not parked");
         let stop = Arc::new(AtomicBool::new(false));
-        self.servers[i].stop = Arc::clone(&stop);
+        let flag = Arc::clone(&stop);
         let me = ServerId(i as u32);
-        // Byzantine servers keep lying across restarts: the policy wraps
+        // Byzantine servers keep lying across restarts: the policy arms
         // every incarnation of their transport.
         let salt = self
             .corrupt
@@ -265,11 +255,10 @@ where
             .map(|c| c.salt);
         let join = match &self.backend {
             BackendState::InProc(hub) => {
-                let ep =
-                    CorruptingTransport::<_, P>::new(hub.endpoint(&[NodeId::Server(me)]), salt);
-                thread::spawn(move || run_pool::<P, _>(pool, me, ep, stop))
+                let ep = hub.endpoint(&[NodeId::Server(me)]);
+                thread::spawn(move || run_pool::<P, _>(pool, me, ep, salt, stop))
             }
-            BackendState::Tcp { table } => {
+            BackendState::Tcp(table) => {
                 let transport = TcpServerTransport::bind("127.0.0.1:0".parse().unwrap())
                     .expect("bind loopback");
                 let addr = transport.local_addr();
@@ -282,17 +271,16 @@ where
                 // incarnation.
                 t[i] = addr;
                 drop(t);
-                let transport = CorruptingTransport::<_, P>::new(transport, salt);
-                thread::spawn(move || run_pool::<P, _>(pool, me, transport, stop))
+                thread::spawn(move || run_pool::<P, _>(pool, me, transport, salt, stop))
             }
         };
-        self.servers[i].join = Some(join);
+        self.servers[i].running = Some((flag, join));
     }
 
     /// The TCP address table (TCP backend only).
     pub fn addrs(&self) -> Option<Vec<SocketAddr>> {
         match &self.backend {
-            BackendState::Tcp { table } => Some(table.lock().expect("addr table poisoned").clone()),
+            BackendState::Tcp(table) => Some(table.lock().expect("addr table poisoned").clone()),
             BackendState::InProc(_) => None,
         }
     }
@@ -304,11 +292,9 @@ where
         if let BackendState::InProc(hub) = &self.backend {
             hub.drop_route(NodeId::Server(ServerId(i as u32)));
         }
-        self.servers[i].stop.store(true, Ordering::Release);
-        if let Some(join) = self.servers[i].join.take() {
-            let (pool, stats) = join.join().expect("server thread panicked");
-            self.stats[i] = self.stats[i].merge(stats);
-            self.servers[i].parked = Some(pool);
+        if let Some((stop, join)) = self.servers[i].running.take() {
+            stop.store(true, Ordering::Release);
+            self.servers[i].parked = Some(join.join().expect("server thread panicked"));
         }
     }
 
@@ -333,24 +319,23 @@ where
         let mut faults = Vec::new();
         let epoch = self.epoch;
         for block in cfg.client_blocks() {
-            let cfg = cfg.clone();
-            let make_client = Arc::clone(&make_client);
-            match &self.backend {
+            let (cfg, make_client) = (cfg.clone(), Arc::clone(&make_client));
+            joins.push(match &self.backend {
                 BackendState::InProc(hub) => {
                     let ids: Vec<NodeId> = block.iter().map(|&c| NodeId::Client(c)).collect();
                     let ep = hub.endpoint(&ids);
-                    joins.push(thread::spawn(move || {
+                    thread::spawn(move || {
                         run_worker::<P, _>(ep, block, |id| make_client(id), &cfg, epoch)
-                    }));
+                    })
                 }
-                BackendState::Tcp { table } => {
+                BackendState::Tcp(table) => {
                     let pool = TcpClientTransport::new(Arc::clone(table));
                     faults.push(pool.faults());
-                    joins.push(thread::spawn(move || {
+                    thread::spawn(move || {
                         run_worker::<P, _>(pool, block, |id| make_client(id), &cfg, epoch)
-                    }));
+                    })
                 }
-            }
+            });
         }
         LoadHandle {
             joins,
@@ -364,11 +349,8 @@ where
     /// worker: its backend shares the pool's store, so probing it sees
     /// the server's full state exactly once.
     pub fn shutdown(mut self) -> Vec<P::Server> {
-        let n = self.servers.len();
-        for i in 0..n {
-            if self.servers[i].join.is_some() {
-                self.kill_server(i);
-            }
+        for i in 0..self.servers.len() {
+            self.kill_server(i);
         }
         self.servers
             .into_iter()
@@ -400,16 +382,7 @@ impl LoadHandle {
 
     /// Waits for every worker and aggregates.
     pub fn join(self) -> NetRunReport {
-        let mut report = NetRunReport {
-            records: Vec::new(),
-            latency_ns: Histogram::new(),
-            msgs_sent: 0,
-            wire_bytes: 0,
-            retransmits: 0,
-            completed: 0,
-            retired: 0,
-            wall: Duration::ZERO,
-        };
+        let mut report = NetRunReport::default();
         for join in self.joins {
             let w = join.join().expect("worker thread panicked");
             report.records.extend(w.records);
@@ -425,26 +398,28 @@ impl LoadHandle {
     }
 }
 
-/// One server incarnation: the single-threaded event loop for a pool of
-/// one, the shared-store worker pool otherwise.
+/// One server incarnation over `transport` — armed with `salt` if the
+/// server is Byzantine: the single-threaded event loop for a pool of
+/// one, the shared-store worker pool otherwise. Returns the pool.
 fn run_pool<P, T>(
-    pool: Vec<P::Server>,
+    mut pool: Vec<P::Server>,
     me: ServerId,
     transport: T,
+    salt: Option<u64>,
     stop: Arc<AtomicBool>,
-) -> (Vec<P::Server>, ServeStats)
+) -> Vec<P::Server>
 where
     P: Protocol,
     P::Msg: WireMsg,
     P::Server: Send,
     T: crate::transport::Transport,
 {
+    let transport = CorruptingTransport::<_, P>::new(transport, salt);
     if pool.len() == 1 {
-        let automaton = pool.into_iter().next().expect("pool of one");
-        let (automaton, stats) = serve_until::<P, _>(automaton, me, transport, stop);
-        (vec![automaton], stats)
+        let automaton = pool.pop().expect("pool of one");
+        vec![serve_until::<P, _>(automaton, me, transport, stop).0]
     } else {
-        serve_shared::<P, _>(pool, me, transport, stop)
+        serve_shared::<P, _>(pool, me, transport, stop).0
     }
 }
 
@@ -524,83 +499,63 @@ impl NetScenario {
     /// Runs the scenario to completion: start servers, run the load,
     /// drain, shut down, probe storage.
     pub fn run(&self) -> NetOutcome {
+        let initial = self.initial;
         match self.algorithm {
             NetAlgorithm::Abd => {
-                let spec = self.value_spec();
-                let initial = self.initial;
-                let servers = (0..self.n)
-                    .map(|_| ShardedAbdServer::new(initial, spec))
-                    .collect();
-                let cluster = NetCluster::<ShardedAbd>::start_corrupt(
-                    self.backend,
-                    servers,
-                    self.corrupt.clone(),
-                );
-                let map = self.map();
-                let handle =
-                    cluster.spawn_load(&self.load, move |id| ShardedAbdClient::new(map, id.0));
-                let report = handle.join();
-                thread::sleep(self.drain);
-                let automata = cluster.shutdown();
-                let state_bits: f64 = automata.iter().map(Node::<ShardedAbd>::state_bits).sum();
-                NetOutcome {
-                    report,
-                    state_bits,
-                    touched_keys: None,
-                }
+                let (map, spec) = (self.map(), self.value_spec());
+                self.run_on::<ShardedAbd>(
+                    |_| ShardedAbdServer::new(initial, spec),
+                    move |id| ShardedAbdClient::new(map, id.0),
+                    None,
+                )
             }
             NetAlgorithm::Cas | NetAlgorithm::CodedCas => {
-                let cfg = self.cas_config();
-                let initial = self.initial;
-                let servers = (0..self.n)
-                    .map(|i| ShardedCasServer::new(cfg.clone(), ServerId(i), initial))
-                    .collect();
-                let cluster = NetCluster::<ShardedCas>::start_corrupt(
-                    self.backend,
-                    servers,
-                    self.corrupt.clone(),
-                );
-                let client_cfg = cfg.clone();
-                let handle = cluster.spawn_load(&self.load, move |id| {
-                    ShardedCasClient::new(client_cfg.clone(), id.0)
-                });
-                let report = handle.join();
-                thread::sleep(self.drain);
-                let automata = cluster.shutdown();
-                let state_bits: f64 = automata.iter().map(Node::<ShardedCas>::state_bits).sum();
-                let touched: usize = automata.iter().map(|s| s.keys_held()).sum();
-                NetOutcome {
-                    report,
-                    state_bits,
-                    touched_keys: Some(touched as f64 / f64::from(cfg.map.replicas())),
-                }
+                let (cfg, client_cfg) = (self.cas_config(), self.cas_config());
+                self.run_on::<ShardedCas>(
+                    |i| ShardedCasServer::new(cfg.clone(), ServerId(i), initial),
+                    move |id| ShardedCasClient::new(client_cfg.clone(), id.0),
+                    Some(|s| s.keys_held()),
+                )
             }
             NetAlgorithm::Hashed => {
-                let cfg = self.cas_config();
-                let initial = self.initial;
-                let servers = (0..self.n)
-                    .map(|i| ShardedHashedServer::new(cfg.clone(), ServerId(i), initial))
-                    .collect();
-                let cluster = NetCluster::<ShardedHashed>::start_corrupt(
-                    self.backend,
-                    servers,
-                    self.corrupt.clone(),
-                );
-                let client_cfg = cfg.clone();
-                let handle = cluster.spawn_load(&self.load, move |id| {
-                    ShardedHashedClient::new(client_cfg.clone(), id.0)
-                });
-                let report = handle.join();
-                thread::sleep(self.drain);
-                let automata = cluster.shutdown();
-                let state_bits: f64 = automata.iter().map(Node::<ShardedHashed>::state_bits).sum();
-                let touched: usize = automata.iter().map(|s| s.cas().keys_held()).sum();
-                NetOutcome {
-                    report,
-                    state_bits,
-                    touched_keys: Some(touched as f64 / f64::from(cfg.map.replicas())),
-                }
+                let (cfg, client_cfg) = (self.cas_config(), self.cas_config());
+                self.run_on::<ShardedHashed>(
+                    |i| ShardedHashedServer::new(cfg.clone(), ServerId(i), initial),
+                    move |id| ShardedHashedClient::new(client_cfg.clone(), id.0),
+                    Some(|s| s.cas().keys_held()),
+                )
             }
+        }
+    }
+
+    /// [`NetScenario::run`] once the algorithm's types are known.
+    /// `keys_held` counts a server's materialized keys (CAS variants
+    /// only — ABD's per-key storage is trivially `N`).
+    fn run_on<P>(
+        &self,
+        server: impl Fn(u32) -> P::Server,
+        client: impl Fn(ClientId) -> P::Client + Send + Sync + 'static,
+        keys_held: Option<fn(&P::Server) -> usize>,
+    ) -> NetOutcome
+    where
+        P: Protocol<Inv = MultiInv, Resp = MultiResp>,
+        P::Msg: WireMsg,
+        P::Server: Send + 'static,
+        P::Client: Send + 'static,
+    {
+        let pools = (0..self.n).map(|i| vec![server(i)]).collect();
+        let backend = BackendState::fresh(self.backend);
+        let cluster = NetCluster::<P>::over(backend, pools, self.corrupt.clone());
+        let report = cluster.spawn_load(&self.load, client).join();
+        thread::sleep(self.drain);
+        let automata = cluster.shutdown();
+        NetOutcome {
+            report,
+            state_bits: automata.iter().map(Node::<P>::state_bits).sum(),
+            touched_keys: keys_held.map(|held| {
+                let touched: usize = automata.iter().map(held).sum();
+                touched as f64 / f64::from(self.map().replicas())
+            }),
         }
     }
 }
@@ -644,58 +599,25 @@ pub fn serve_forever(
 /// server states live in other processes); the returned report still
 /// carries everything the atomicity checkers need.
 pub fn run_remote(scenario: &NetScenario, addrs: Vec<SocketAddr>) -> NetRunReport {
-    let table = addr_table(addrs);
-    let epoch = Instant::now();
+    // A cluster of no servers: the load only needs the address table.
+    let backend = BackendState::Tcp(addr_table(addrs));
+    let load = &scenario.load;
     match scenario.algorithm {
         NetAlgorithm::Abd => {
             let map = scenario.map();
-            spawn_remote::<ShardedAbd>(&scenario.load, table, epoch, move |id| {
-                ShardedAbdClient::new(map, id.0)
-            })
+            NetCluster::<ShardedAbd>::over(backend, Vec::new(), None)
+                .spawn_load(load, move |id| ShardedAbdClient::new(map, id.0))
         }
         NetAlgorithm::Cas | NetAlgorithm::CodedCas => {
             let cfg = scenario.cas_config();
-            spawn_remote::<ShardedCas>(&scenario.load, table, epoch, move |id| {
-                ShardedCasClient::new(cfg.clone(), id.0)
-            })
+            NetCluster::<ShardedCas>::over(backend, Vec::new(), None)
+                .spawn_load(load, move |id| ShardedCasClient::new(cfg.clone(), id.0))
         }
         NetAlgorithm::Hashed => {
             let cfg = scenario.cas_config();
-            spawn_remote::<ShardedHashed>(&scenario.load, table, epoch, move |id| {
-                ShardedHashedClient::new(cfg.clone(), id.0)
-            })
+            NetCluster::<ShardedHashed>::over(backend, Vec::new(), None)
+                .spawn_load(load, move |id| ShardedHashedClient::new(cfg.clone(), id.0))
         }
-    }
-}
-
-fn spawn_remote<P>(
-    load: &LoadConfig,
-    table: AddrTable,
-    epoch: Instant,
-    make_client: impl Fn(ClientId) -> P::Client + Send + Sync + 'static,
-) -> NetRunReport
-where
-    P: Protocol<Inv = MultiInv, Resp = MultiResp>,
-    P::Msg: WireMsg,
-    P::Server: Send + 'static,
-    P::Client: Send + 'static,
-{
-    let make_client = Arc::new(make_client);
-    let mut joins = Vec::new();
-    let mut faults = Vec::new();
-    for block in load.client_blocks() {
-        let cfg = load.clone();
-        let make_client = Arc::clone(&make_client);
-        let pool = TcpClientTransport::new(Arc::clone(&table));
-        faults.push(pool.faults());
-        joins.push(thread::spawn(move || {
-            run_worker::<P, _>(pool, block, |id| make_client(id), &cfg, epoch)
-        }));
-    }
-    LoadHandle {
-        joins,
-        faults,
-        started: Instant::now(),
     }
     .join()
 }

@@ -13,7 +13,7 @@ use crate::wire::WireMsg;
 use shmem_sim::{Ctx, Node, NodeId, Protocol, ServerId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -44,14 +44,73 @@ impl ServeStats {
     }
 }
 
+/// One automaton's seat at a transport: the decode → `on_message` →
+/// encode → emit step both serve loops run, and the counters it keeps.
+/// `emit` is where the loops differ — straight into the transport
+/// ([`serve_until`]) or onto the pool's outbox ([`serve_shared`]).
+struct Seat<P: Protocol> {
+    automaton: P::Server,
+    me: NodeId,
+    event: u64,
+    stats: ServeStats,
+}
+
+impl<P> Seat<P>
+where
+    P: Protocol,
+    P::Msg: WireMsg,
+{
+    /// Seats `automaton` as server `me` and runs its `on_start`.
+    fn start(mut automaton: P::Server, me: ServerId, emit: impl FnMut(Envelope)) -> Seat<P> {
+        let me = NodeId::Server(me);
+        let mut ctx: Ctx<P> = Ctx::new(me, 0);
+        automaton.on_start(&mut ctx);
+        let mut seat = Seat {
+            automaton,
+            me,
+            event: 0,
+            stats: ServeStats::default(),
+        };
+        seat.flush(ctx, emit);
+        seat
+    }
+
+    /// Handles one inbound envelope. A payload that fails to decode is
+    /// counted and dropped; the loop — and the server — survives
+    /// arbitrary bytes from the network.
+    fn step(&mut self, env: Envelope, emit: impl FnMut(Envelope)) {
+        let Ok(msg) = P::Msg::from_wire(&env.payload) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        self.stats.msgs_in += 1;
+        self.event += 1;
+        let mut ctx: Ctx<P> = Ctx::new(self.me, self.event);
+        self.automaton.on_message(env.from, msg, &mut ctx);
+        self.flush(ctx, emit);
+    }
+
+    /// Encodes one event's buffered effects and hands them to `emit`.
+    fn flush(&mut self, ctx: Ctx<P>, mut emit: impl FnMut(Envelope)) {
+        let (outbox, responses) = ctx.into_effects();
+        debug_assert!(responses.is_empty(), "servers never respond to operations");
+        for (to, msg) in outbox {
+            self.stats.msgs_out += 1;
+            self.stats.wire_bytes_out += P::msg_wire_bytes(&msg);
+            emit(Envelope {
+                from: self.me,
+                to,
+                payload: msg.to_wire(),
+            });
+        }
+    }
+}
+
 /// Runs `automaton` against `transport` until `stop` is raised, then
 /// returns it (with its state intact — the durable-state crash model)
 /// together with the loop's counters.
-///
-/// A payload that fails to decode is counted and dropped; the loop — and
-/// the server — survives arbitrary bytes from the network.
 pub fn serve_until<P, T>(
-    mut automaton: P::Server,
+    automaton: P::Server,
     me: ServerId,
     mut transport: T,
     stop: Arc<AtomicBool>,
@@ -61,34 +120,21 @@ where
     P::Msg: WireMsg,
     T: Transport,
 {
-    let my_id = NodeId::Server(me);
-    let mut stats = ServeStats::default();
-    let mut event: u64 = 0;
-
-    let mut ctx: Ctx<P> = Ctx::new(my_id, event);
-    automaton.on_start(&mut ctx);
-    flush::<P, T>(&mut transport, my_id, ctx, &mut stats);
-
+    // Best-effort: a dead peer just loses the message.
+    let mut seat = Seat::<P>::start(automaton, me, |env| {
+        let _ = transport.send(&env);
+    });
     while !stop.load(Ordering::Acquire) {
         let env = match transport.recv_timeout(Duration::from_millis(10)) {
             Ok(Some(env)) => env,
             Ok(None) => continue,
             Err(_) => break,
         };
-        let msg = match P::Msg::from_wire(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                stats.decode_errors += 1;
-                continue;
-            }
-        };
-        stats.msgs_in += 1;
-        event += 1;
-        let mut ctx: Ctx<P> = Ctx::new(my_id, event);
-        automaton.on_message(env.from, msg, &mut ctx);
-        flush::<P, T>(&mut transport, my_id, ctx, &mut stats);
+        seat.step(env, |env| {
+            let _ = transport.send(&env);
+        });
     }
-    (automaton, stats)
+    (seat.automaton, seat.stats)
 }
 
 /// Runs `automata` as a *pool of worker threads* serving one server
@@ -121,7 +167,6 @@ where
         !automata.is_empty(),
         "a server pool needs at least one worker"
     );
-    let my_id = NodeId::Server(me);
     let inbox: Mutex<VecDeque<Envelope>> = Mutex::new(VecDeque::new());
     let available = Condvar::new();
     let (out_tx, out_rx) = mpsc::channel::<Envelope>();
@@ -130,29 +175,29 @@ where
         let handles: Vec<_> = automata
             .into_iter()
             .enumerate()
-            .map(|(worker, mut automaton)| {
+            .map(|(worker, automaton)| {
                 let out_tx = out_tx.clone();
                 let (inbox, available, stop) = (&inbox, &available, &stop);
                 scope.spawn(move || {
-                    let mut stats = ServeStats::default();
-                    let mut event: u64 = 0;
-                    let mut ctx: Ctx<P> = Ctx::new(my_id, event);
+                    // The IO thread drains this channel; if it exited
+                    // first (stop raced the last handler), the message is
+                    // lost like any other best-effort send.
+                    let enqueue = |env| {
+                        let _ = out_tx.send(env);
+                    };
                     // Every worker runs on_start (per-instance init),
                     // but the pool is ONE logical server: only the
                     // first worker's start-up effects go to the wire.
                     // A protocol whose server emits on_start traffic
                     // must not have it multiplied by the pool size.
-                    automaton.on_start(&mut ctx);
-                    if worker == 0 {
-                        enqueue::<P>(&out_tx, my_id, ctx, &mut stats);
-                    } else {
-                        let (outbox, responses) = ctx.into_effects();
+                    let mut seat = Seat::<P>::start(automaton, me, |env| {
                         assert!(
-                            outbox.is_empty() && responses.is_empty(),
+                            worker == 0,
                             "pooled server on_start effects are emitted once, \
                              by the first worker only"
                         );
-                    }
+                        enqueue(env);
+                    });
                     loop {
                         let env = {
                             let mut q = inbox.lock().expect("inbox poisoned");
@@ -161,7 +206,7 @@ where
                                     break env;
                                 }
                                 if stop.load(Ordering::Acquire) {
-                                    return (automaton, stats);
+                                    return (seat.automaton, seat.stats);
                                 }
                                 // Timed wait so a missed notification can
                                 // never outlive the stop flag.
@@ -171,18 +216,7 @@ where
                                     .0;
                             }
                         };
-                        let msg = match P::Msg::from_wire(&env.payload) {
-                            Ok(m) => m,
-                            Err(_) => {
-                                stats.decode_errors += 1;
-                                continue;
-                            }
-                        };
-                        stats.msgs_in += 1;
-                        event += 1;
-                        let mut ctx: Ctx<P> = Ctx::new(my_id, event);
-                        automaton.on_message(env.from, msg, &mut ctx);
-                        enqueue::<P>(&out_tx, my_id, ctx, &mut stats);
+                        seat.step(env, enqueue);
                     }
                 })
             })
@@ -225,115 +259,14 @@ where
     })
 }
 
-/// Encodes one event's buffered effects onto the pool's outbox channel.
-fn enqueue<P>(out: &Sender<Envelope>, me: NodeId, ctx: Ctx<P>, stats: &mut ServeStats)
-where
-    P: Protocol,
-    P::Msg: WireMsg,
-{
-    let (outbox, responses) = ctx.into_effects();
-    debug_assert!(responses.is_empty(), "servers never respond to operations");
-    for (to, msg) in outbox {
-        stats.msgs_out += 1;
-        stats.wire_bytes_out += P::msg_wire_bytes(&msg);
-        let env = Envelope {
-            from: me,
-            to,
-            payload: msg.to_wire(),
-        };
-        // The IO thread drains this channel; if it exited first (stop
-        // raced the last handler), the message is lost like any other
-        // best-effort send.
-        let _ = out.send(env);
-    }
-}
-
-fn flush<P, T>(transport: &mut T, me: NodeId, ctx: Ctx<P>, stats: &mut ServeStats)
-where
-    P: Protocol,
-    P::Msg: WireMsg,
-    T: Transport,
-{
-    let (outbox, responses) = ctx.into_effects();
-    debug_assert!(responses.is_empty(), "servers never respond to operations");
-    for (to, msg) in outbox {
-        stats.msgs_out += 1;
-        stats.wire_bytes_out += P::msg_wire_bytes(&msg);
-        let env = Envelope {
-            from: me,
-            to,
-            payload: msg.to_wire(),
-        };
-        // Best-effort: a dead peer just loses the message.
-        let _ = transport.send(&env);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::InProcHub;
     use shmem_algorithms::abd::ShardedAbd;
-    use shmem_algorithms::abd::ShardedAbdServer;
-    use shmem_algorithms::multikey::ShardMap;
     use shmem_algorithms::value::ValueSpec;
     use shmem_sim::ClientId;
     use std::thread;
-
-    #[test]
-    fn serves_a_query_and_survives_garbage() {
-        let hub = InProcHub::new();
-        let server_ep = hub.endpoint(&[NodeId::Server(ServerId(0))]);
-        let mut client_ep = hub.endpoint(&[NodeId::Client(ClientId(0))]);
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let automaton = ShardedAbdServer::new(0, ValueSpec::from_bits(64.0));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                serve_until::<ShardedAbd, _>(automaton, ServerId(0), server_ep, stop)
-            })
-        };
-
-        // Garbage payload first: must be counted, not fatal.
-        client_ep
-            .send(&Envelope {
-                from: NodeId::Client(ClientId(0)),
-                to: NodeId::Server(ServerId(0)),
-                payload: vec![0xff; 9],
-            })
-            .unwrap();
-
-        // Then a real phase-1 query.
-        use crate::wire::WireMsg;
-        use shmem_algorithms::abd::ShardedAbdMsg;
-        let map = ShardMap::full(1);
-        let _ = map;
-        let query = ShardedAbdMsg::Query {
-            rid: 1,
-            keys: vec![7],
-        };
-        client_ep
-            .send(&Envelope {
-                from: NodeId::Client(ClientId(0)),
-                to: NodeId::Server(ServerId(0)),
-                payload: query.to_wire(),
-            })
-            .unwrap();
-
-        let reply = client_ep
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("server replies");
-        let msg = ShardedAbdMsg::from_wire(&reply.payload).unwrap();
-        assert!(matches!(msg, ShardedAbdMsg::QueryResp { rid: 1, .. }));
-
-        stop.store(true, Ordering::Release);
-        let (_automaton, stats) = handle.join().unwrap();
-        assert_eq!(stats.decode_errors, 1);
-        assert_eq!(stats.msgs_in, 1);
-        assert_eq!(stats.msgs_out, 1);
-    }
 
     /// A pooled server: workers sharing one striped store behave as a
     /// single server — a `Store` handled by one worker is visible to a
@@ -343,7 +276,7 @@ mod tests {
         use shmem_algorithms::abd::ShardedAbdMsg;
         use shmem_algorithms::abd::ShardedAbdServerOn;
         use shmem_algorithms::tag::Tag;
-        use shmem_store::{RegStore, StoreAbd, StoreAbdBackend};
+        use shmem_store::{RegStore, StoreAbdBackend};
 
         let hub = InProcHub::new();
         let server_ep = hub.endpoint(&[NodeId::Server(ServerId(0))]);
@@ -362,7 +295,9 @@ mod tests {
             .collect();
         let handle = {
             let stop = Arc::clone(&stop);
-            thread::spawn(move || serve_shared::<StoreAbd, _>(pool, ServerId(0), server_ep, stop))
+            thread::spawn(move || {
+                serve_shared::<ShardedAbd<StoreAbdBackend>, _>(pool, ServerId(0), server_ep, stop)
+            })
         };
 
         let send = |client_ep: &mut crate::transport::InProcEndpoint, msg: &ShardedAbdMsg| {
@@ -415,6 +350,97 @@ mod tests {
         // Every worker sees the shared key through its own backend.
         for s in &pool {
             assert_eq!(s.entry(7), (tag, 42));
+        }
+    }
+
+    /// One scripted sequence — a garbage payload, a `Store`, eight
+    /// `Query`s — through whichever loop `serve` runs: the reply payloads
+    /// in order, and the loop's counters.
+    fn scripted(
+        serve: impl FnOnce(crate::transport::InProcEndpoint, Arc<AtomicBool>) -> ServeStats
+            + Send
+            + 'static,
+    ) -> (Vec<Vec<u8>>, ServeStats) {
+        use shmem_algorithms::abd::ShardedAbdMsg;
+        use shmem_algorithms::tag::Tag;
+
+        let hub = InProcHub::new();
+        let server_ep = hub.endpoint(&[NodeId::Server(ServerId(0))]);
+        let mut client_ep = hub.endpoint(&[NodeId::Client(ClientId(0))]);
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || serve(server_ep, stop))
+        };
+
+        let store = ShardedAbdMsg::Store {
+            rid: 1,
+            items: vec![(7, Tag::ZERO.successor(0), 42)],
+        };
+        let queries = (2..10).map(|rid| ShardedAbdMsg::Query { rid, keys: vec![7] });
+        let script = std::iter::once(store).chain(queries).map(|m| m.to_wire());
+        let mut replies = Vec::new();
+        for (i, payload) in std::iter::once(vec![0xff; 9]).chain(script).enumerate() {
+            client_ep
+                .send(&Envelope {
+                    from: NodeId::Client(ClientId(0)),
+                    to: NodeId::Server(ServerId(0)),
+                    payload,
+                })
+                .unwrap();
+            if i == 0 {
+                continue; // garbage draws no reply
+            }
+            // One message in flight at a time, so a pool of any size
+            // answers in script order.
+            let reply = client_ep
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .expect("server replies");
+            replies.push(reply.payload);
+        }
+        stop.store(true, Ordering::Release);
+        (replies, handle.join().unwrap())
+    }
+
+    /// `serve_until` and `serve_shared` run one step: the same script
+    /// draws the same replies and the same counters from the
+    /// single-threaded loop, a pool of one and a pool of four.
+    #[test]
+    fn both_loops_answer_and_count_alike() {
+        use shmem_algorithms::abd::{ShardedAbdMsg, ShardedAbdServerOn};
+        use shmem_algorithms::tag::Tag;
+        use shmem_store::StoreAbdBackend;
+        type P = ShardedAbd<StoreAbdBackend>;
+
+        let pool = |workers: usize| -> Vec<<P as Protocol>::Server> {
+            let store = StoreAbdBackend::new();
+            (0..workers)
+                .map(|_| {
+                    ShardedAbdServerOn::with_backend(0, ValueSpec::from_bits(64.0), store.clone())
+                })
+                .collect()
+        };
+        let single = scripted(move |ep, stop| {
+            let automaton = pool(1).pop().expect("one worker");
+            serve_until::<P, _>(automaton, ServerId(0), ep, stop).1
+        });
+        let replies: Vec<_> = single
+            .0
+            .iter()
+            .map(|payload| ShardedAbdMsg::from_wire(payload).expect("reply parses"))
+            .collect();
+        assert_eq!(replies.len(), 9);
+        assert_eq!(replies[0], ShardedAbdMsg::StoreAck { rid: 1 });
+        let items = vec![(7, Tag::ZERO.successor(0), 42)];
+        assert_eq!(replies[1], ShardedAbdMsg::QueryResp { rid: 2, items });
+        let (in_, out, bad) = (single.1.msgs_in, single.1.msgs_out, single.1.decode_errors);
+        assert_eq!((in_, out, bad), (9, 9, 1));
+        for workers in [1, 4] {
+            let pooled = scripted(move |ep, stop| {
+                serve_shared::<P, _>(pool(workers), ServerId(0), ep, stop).1
+            });
+            assert_eq!(pooled, single, "pool of {workers}");
         }
     }
 }

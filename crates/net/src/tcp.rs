@@ -19,13 +19,13 @@
 
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame, Envelope};
-use crate::transport::Transport;
+use crate::transport::{recv_from, Transport};
 use shmem_sim::{NodeId, ServerId};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -41,37 +41,38 @@ pub fn addr_table(addrs: Vec<SocketAddr>) -> AddrTable {
     Arc::new(Mutex::new(addrs))
 }
 
+/// The reader thread of `conn`: hands every frame off `stream` to
+/// `deliver` until the stream ends, `deliver` declines, or the peer sends
+/// garbage — counted in `decode_errors`; the connection closes, the
+/// endpoint lives on.
 fn spawn_reader(
-    stream: TcpStream,
-    inbox: Sender<Envelope>,
-    alive: Arc<AtomicBool>,
+    mut stream: TcpStream,
+    conn: Conn,
     decode_errors: Arc<AtomicU64>,
+    mut deliver: impl FnMut(&Conn, Envelope) -> bool + Send + 'static,
 ) {
     thread::spawn(move || {
-        let mut stream = stream;
         loop {
             match read_frame(&mut stream) {
                 Ok(Some(env)) => {
-                    if inbox.send(env).is_err() {
+                    if !deliver(&conn, env) {
                         break;
                     }
                 }
                 Ok(None) => break,
                 Err(NetError::Frame(_)) | Err(NetError::Wire(_)) => {
-                    // Garbage on the stream: count it, drop the
-                    // connection, keep the endpoint alive.
                     decode_errors.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 Err(_) => break,
             }
         }
-        alive.store(false, Ordering::Release);
+        conn.alive.store(false, Ordering::Release);
         let _ = stream.shutdown(Shutdown::Both);
     });
 }
 
-/// One pooled connection: a shared write half plus a liveness flag the
+/// One pooled connection: a shared write half plus a liveness flag its
 /// reader thread clears on failure.
 #[derive(Clone)]
 struct Conn {
@@ -80,6 +81,24 @@ struct Conn {
 }
 
 impl Conn {
+    /// Takes over a fresh `stream` at either end: keeps a clone as the
+    /// write half and hands the stream to [`spawn_reader`].
+    fn open(
+        stream: TcpStream,
+        decode_errors: Arc<AtomicU64>,
+        deliver: impl FnMut(&Conn, Envelope) -> bool + Send + 'static,
+    ) -> Result<Conn, NetError> {
+        let _ = stream.set_nodelay(true);
+        let conn = Conn {
+            stream: Arc::new(Mutex::new(
+                stream.try_clone().map_err(|e| NetError::io(&e))?,
+            )),
+            alive: Arc::new(AtomicBool::new(true)),
+        };
+        spawn_reader(stream, conn.clone(), decode_errors, deliver);
+        Ok(conn)
+    }
+
     fn write(&self, env: &Envelope) -> Result<(), NetError> {
         let mut guard = self.stream.lock().expect("conn stream poisoned");
         write_frame(&mut *guard, env)
@@ -89,6 +108,24 @@ impl Conn {
         self.alive.store(false, Ordering::Release);
         let guard = self.stream.lock().expect("conn stream poisoned");
         let _ = guard.shutdown(Shutdown::Both);
+    }
+}
+
+/// Every connection an endpoint has open, for severing them from outside
+/// the thread that owns the endpoint.
+type Registry = Mutex<Vec<Conn>>;
+
+/// Adds `conn` to `registry`, dropping the entries whose connection has
+/// died since — each holds a socket open.
+fn register(registry: &Registry, conn: Conn) {
+    let mut conns = registry.lock().expect("conn registry poisoned");
+    conns.retain(|c| c.alive.load(Ordering::Acquire));
+    conns.push(conn);
+}
+
+fn sever_all(registry: &Registry) {
+    for c in registry.lock().expect("conn registry poisoned").iter() {
+        c.sever();
     }
 }
 
@@ -103,7 +140,7 @@ pub struct TcpServerTransport {
 struct ServerShared {
     stop: AtomicBool,
     routes: Mutex<HashMap<NodeId, Conn>>,
-    conns: Mutex<Vec<Conn>>,
+    conns: Registry,
     decode_errors: Arc<AtomicU64>,
 }
 
@@ -133,32 +170,27 @@ impl TcpServerTransport {
             while !accept_shared.stop.load(Ordering::Acquire) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        let _ = stream.set_nodelay(true);
-                        let alive = Arc::new(AtomicBool::new(true));
-                        let conn = Conn {
-                            stream: Arc::new(Mutex::new(
-                                stream.try_clone().expect("tcp stream clone"),
-                            )),
-                            alive: Arc::clone(&alive),
-                        };
-                        accept_shared
-                            .conns
-                            .lock()
-                            .expect("server conns poisoned")
-                            .push(conn.clone());
-                        // The reader tags routes as frames arrive; stash
-                        // the conn so route learning can find it.
-                        let inbox = RouteLearningSender {
-                            inner: inbox_tx.clone(),
-                            conn,
-                            routes: Arc::clone(&accept_shared),
-                        };
-                        spawn_server_reader(
+                        // Record which connection each source node last
+                        // used as its frames arrive, so replies route
+                        // back without any handshake.
+                        let (inbox, routes) = (inbox_tx.clone(), Arc::clone(&accept_shared));
+                        let conn = Conn::open(
                             stream,
-                            inbox,
-                            alive,
                             Arc::clone(&accept_shared.decode_errors),
+                            move |conn, env| {
+                                routes
+                                    .routes
+                                    .lock()
+                                    .expect("server routes poisoned")
+                                    .insert(env.from, conn.clone());
+                                inbox.send(env).is_ok()
+                            },
                         );
+                        // A socket that cannot be cloned (descriptors
+                        // exhausted) is dropped; the listener lives on.
+                        if let Ok(conn) = conn {
+                            register(&accept_shared.conns, conn);
+                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(2));
@@ -186,54 +218,6 @@ impl TcpServerTransport {
     }
 }
 
-/// Forwards inbound envelopes to the server inbox while recording which
-/// connection each source node last used, so replies can be routed back
-/// without any handshake.
-struct RouteLearningSender {
-    inner: Sender<Envelope>,
-    conn: Conn,
-    routes: Arc<ServerShared>,
-}
-
-impl RouteLearningSender {
-    fn deliver(&self, env: Envelope) -> bool {
-        self.routes
-            .routes
-            .lock()
-            .expect("server routes poisoned")
-            .insert(env.from, self.conn.clone());
-        self.inner.send(env).is_ok()
-    }
-}
-
-fn spawn_server_reader(
-    stream: TcpStream,
-    inbox: RouteLearningSender,
-    alive: Arc<AtomicBool>,
-    decode_errors: Arc<AtomicU64>,
-) {
-    thread::spawn(move || {
-        let mut stream = stream;
-        loop {
-            match read_frame(&mut stream) {
-                Ok(Some(env)) => {
-                    if !inbox.deliver(env) {
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                Err(NetError::Frame(_)) | Err(NetError::Wire(_)) => {
-                    decode_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        alive.store(false, Ordering::Release);
-        let _ = stream.shutdown(Shutdown::Both);
-    });
-}
-
 impl Transport for TcpServerTransport {
     fn send(&mut self, env: &Envelope) -> Result<(), NetError> {
         let conn = {
@@ -254,23 +238,21 @@ impl Transport for TcpServerTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        match self.inbox_rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
-        }
+        recv_from(&self.inbox_rx, timeout)
     }
 }
 
 impl Drop for TcpServerTransport {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        let conns = self.shared.conns.lock().expect("server conns poisoned");
-        for c in conns.iter() {
-            c.sever();
-        }
+        sever_all(&self.shared.conns);
     }
 }
+
+/// Connect attempts per send before giving up (the retry budget).
+const MAX_ATTEMPTS: u32 = 3;
+/// First backoff delay; doubles per attempt.
+const BASE_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Client-side TCP endpoint: one lazily-established connection per
 /// server, reconnecting with bounded exponential backoff.
@@ -281,11 +263,7 @@ pub struct TcpClientTransport {
     inbox_rx: Receiver<Envelope>,
     decode_errors: Arc<AtomicU64>,
     connects: Arc<AtomicU64>,
-    registry: Arc<Mutex<Vec<Conn>>>,
-    /// Connect attempts per send before giving up (the retry budget).
-    pub max_attempts: u32,
-    /// First backoff delay; doubles per attempt.
-    pub base_backoff: Duration,
+    registry: Arc<Registry>,
 }
 
 /// Shared handle for injecting connection faults into a
@@ -293,7 +271,7 @@ pub struct TcpClientTransport {
 /// by its worker).
 #[derive(Clone)]
 pub struct PoolFaults {
-    registry: Arc<Mutex<Vec<Conn>>>,
+    registry: Arc<Registry>,
     connects: Arc<AtomicU64>,
 }
 
@@ -301,10 +279,7 @@ impl PoolFaults {
     /// Severs every currently-open pooled connection (both directions),
     /// as a middlebox reset would.
     pub fn sever_all(&self) {
-        let conns = self.registry.lock().expect("pool registry poisoned");
-        for c in conns.iter() {
-            c.sever();
-        }
+        sever_all(&self.registry);
     }
 
     /// Total successful connection establishments (first connects and
@@ -326,8 +301,6 @@ impl TcpClientTransport {
             decode_errors: Arc::new(AtomicU64::new(0)),
             connects: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(Mutex::new(Vec::new())),
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(5),
         }
     }
 
@@ -340,11 +313,11 @@ impl TcpClientTransport {
     }
 
     fn connect(&mut self, server: usize) -> Result<Conn, NetError> {
-        let mut backoff = self.base_backoff;
+        let mut backoff = BASE_BACKOFF;
         let mut last = NetError::Disconnected {
             peer: NodeId::Server(ServerId(server as u32)),
         };
-        for attempt in 0..self.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 thread::sleep(backoff);
                 backoff *= 2;
@@ -360,25 +333,13 @@ impl TcpClientTransport {
             };
             match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
                 Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let alive = Arc::new(AtomicBool::new(true));
-                    let conn = Conn {
-                        stream: Arc::new(Mutex::new(
-                            stream.try_clone().map_err(|e| NetError::io(&e))?,
-                        )),
-                        alive: Arc::clone(&alive),
-                    };
-                    spawn_reader(
-                        stream,
-                        self.inbox_tx.clone(),
-                        alive,
-                        Arc::clone(&self.decode_errors),
-                    );
+                    let inbox = self.inbox_tx.clone();
+                    let conn =
+                        Conn::open(stream, Arc::clone(&self.decode_errors), move |_, env| {
+                            inbox.send(env).is_ok()
+                        })?;
                     self.connects.fetch_add(1, Ordering::Relaxed);
-                    self.registry
-                        .lock()
-                        .expect("pool registry poisoned")
-                        .push(conn.clone());
+                    register(&self.registry, conn.clone());
                     self.conns.insert(server, conn.clone());
                     return Ok(conn);
                 }
@@ -422,11 +383,7 @@ impl Transport for TcpClientTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        match self.inbox_rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
-        }
+        recv_from(&self.inbox_rx, timeout)
     }
 }
 
@@ -442,9 +399,19 @@ impl Drop for TcpClientTransport {
 mod tests {
     use super::*;
     use shmem_sim::ClientId;
+    use std::time::Instant;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
+    }
+
+    /// Spins until `cond` holds; panics after five seconds.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::yield_now();
+        }
     }
 
     #[test]
@@ -502,7 +469,9 @@ mod tests {
         client.send(&req).unwrap();
         let got = server.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, Some(req));
-        assert!(server.decode_errors() >= 1);
+        // The garbage connection's reader thread counts on its own
+        // schedule; nothing above waits for it.
+        wait_until("the garbage is counted", || server.decode_errors() >= 1);
     }
 
     #[test]
@@ -534,6 +503,44 @@ mod tests {
         assert!(faults.connects() > before);
     }
 
+    /// Every reconnect used to leave its predecessor's cloned socket in
+    /// both registries for the life of the endpoint.
+    #[test]
+    fn dead_connections_leave_the_registries() {
+        let mut server = TcpServerTransport::bind(loopback()).unwrap();
+        let mut client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
+        let faults = client.faults();
+        let env = Envelope {
+            from: NodeId::Client(ClientId(0)),
+            to: NodeId::Server(ServerId(0)),
+            payload: vec![1],
+        };
+        let live = |registry: &Registry| {
+            let conns = registry.lock().unwrap();
+            conns
+                .iter()
+                .filter(|c| c.alive.load(Ordering::Acquire))
+                .count()
+        };
+        for cycle in 0..200 {
+            client.send(&env).unwrap();
+            let got = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got.as_ref(), Some(&env), "cycle {cycle}");
+            let held = (
+                client.registry.lock().unwrap().len(),
+                server.shared.conns.lock().unwrap().len(),
+            );
+            assert!(held.0 <= 2 && held.1 <= 2, "cycle {cycle}: {held:?} held");
+            faults.sever_all();
+            // The server's reader sees the reset on its own schedule;
+            // once it has, the next accept has nothing live to keep.
+            wait_until("the server notices the reset", || {
+                live(&server.shared.conns) == 0
+            });
+        }
+        assert_eq!(faults.connects(), 200);
+    }
+
     #[test]
     fn exhausted_backoff_reports_disconnected() {
         // A port with no listener: grab one, then drop it.
@@ -542,8 +549,6 @@ mod tests {
         drop(dead);
 
         let mut client = TcpClientTransport::new(addr_table(vec![addr]));
-        client.max_attempts = 2;
-        client.base_backoff = Duration::from_millis(1);
         let env = Envelope {
             from: NodeId::Client(ClientId(0)),
             to: NodeId::Server(ServerId(0)),

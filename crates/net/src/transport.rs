@@ -113,11 +113,19 @@ impl Transport for InProcEndpoint {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
-        }
+        recv_from(&self.rx, timeout)
+    }
+}
+
+/// [`Transport::recv_timeout`] over an endpoint's `mpsc` inbox.
+pub(crate) fn recv_from(
+    inbox: &Receiver<Envelope>,
+    timeout: Duration,
+) -> Result<Option<Envelope>, NetError> {
+    match inbox.recv_timeout(timeout) {
+        Ok(env) => Ok(Some(env)),
+        Err(RecvTimeoutError::Timeout) => Ok(None),
+        Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
     }
 }
 

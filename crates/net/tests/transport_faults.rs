@@ -18,7 +18,7 @@ use shmem_net::wire::WireMsg;
 use shmem_net::{LoadConfig, NetBackend, NetCluster};
 use shmem_sim::{ClientId, Protocol, ServerId};
 use shmem_spec::check_atomic;
-use shmem_store::{RegStore, StoreAbd, StoreAbdBackend, StoreCas, StoreCasBackend};
+use shmem_store::{RegStore, StoreAbdBackend, StoreCasBackend};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -59,7 +59,7 @@ fn cas_cluster(backend: NetBackend) -> (NetCluster<ShardedCas>, ShardedCasConfig
 
 /// The concurrent sibling of [`abd_cluster`]: every server is a pool of
 /// [`WORKERS`] automata sharing one striped [`RegStore`].
-fn store_abd_cluster(backend: NetBackend) -> NetCluster<StoreAbd> {
+fn store_abd_cluster(backend: NetBackend) -> NetCluster<ShardedAbd<StoreAbdBackend>> {
     let spec = ValueSpec::from_bits(64.0);
     let pools = (0..N)
         .map(|_| {
@@ -74,7 +74,9 @@ fn store_abd_cluster(backend: NetBackend) -> NetCluster<StoreAbd> {
 
 /// The concurrent sibling of [`cas_cluster`]: pooled workers over one
 /// shared coded store per server.
-fn store_cas_cluster(backend: NetBackend) -> (NetCluster<StoreCas>, ShardedCasConfig) {
+fn store_cas_cluster(
+    backend: NetBackend,
+) -> (NetCluster<ShardedCas<StoreCasBackend>>, ShardedCasConfig) {
     let cfg = ShardedCasConfig::native(ShardMap::full(N), F, ValueSpec::from_bits(64.0));
     let pools = (0..N)
         .map(|i| {

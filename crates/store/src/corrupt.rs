@@ -2,7 +2,8 @@
 //!
 //! A pooled server is several worker automata over one shared store, so
 //! tampering the stored state in place (what the sim-level adversary does
-//! through `Local*::corrupt`) would reach under every worker's feet at an
+//! through `AbdBackend::corrupt` / `CasBackend::corrupt`, which this
+//! decorator leaves refusing) would reach under every worker's feet at an
 //! instant no schedule names, and would make the stored state — and with
 //! it every digest the differential suites compare — depend on when the
 //! adversary struck. So the pooled-server adversary sits where a
@@ -49,21 +50,6 @@ impl<B> CorruptingBackend<B> {
     /// Starts (or stops) tampering served payloads.
     pub fn arm(&mut self, armed: bool) {
         self.armed = armed;
-    }
-
-    /// Whether the decorator is currently tampering.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The wrapped backend, mutably.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
     }
 }
 

@@ -23,13 +23,11 @@
 pub mod broken;
 pub mod corrupt;
 pub mod log;
-pub mod protocol;
 pub mod striped;
 
 pub use broken::{SplitSectionReg, StaleTagRegHandle};
 pub use corrupt::CorruptingBackend;
 pub use log::{merge_histories, OpClock, ThreadLog};
-pub use protocol::{StoreAbd, StoreCas, StoreHashed};
 pub use striped::{
     CodedStore, Handle, RegStore, StoreAbdBackend, StoreCasBackend, StoreHashedBackend, Striped,
 };

@@ -2,9 +2,9 @@
 //! are *byte-identical* to the legacy in-struct servers when driven
 //! single-threaded.
 //!
-//! For each protocol pair (`ShardedAbd` / [`StoreAbd`], `ShardedCas` /
-//! [`StoreCas`], `ShardedHashed` / [`StoreHashed`]) the same seeded
-//! workload and schedule drive both worlds; the [`StepInfo`] traces, the
+//! For each protocol over both backends (`ShardedAbd` /
+//! `ShardedAbd<StoreAbdBackend>`, and likewise `ShardedCas` and
+//! `ShardedHashed`) the same seeded workload and schedule drive both worlds; the [`StepInfo`] traces, the
 //! op-for-op responses, and the full simulator digests (which fold in
 //! every server's `Node::digest`, i.e. the backend's canonical state
 //! hash) must match exactly — at batch size 1 and batch size 16, and
@@ -25,8 +25,7 @@ use shmem_algorithms::workloads::ZipfKeys;
 use shmem_algorithms::{project_histories, Key, MultiInv, MultiResp, ShardMap, Value, ValueSpec};
 use shmem_sim::{ClientId, Protocol, ServerId, Sim, SimConfig, StepInfo};
 use shmem_spec::check_atomic;
-use shmem_store::StoreHashedBackend;
-use shmem_store::{StoreAbd, StoreAbdBackend, StoreCas, StoreCasBackend, StoreHashed};
+use shmem_store::{StoreAbdBackend, StoreCasBackend, StoreHashedBackend};
 use shmem_util::DetRng;
 
 const SPEC: f64 = 64.0;
@@ -114,7 +113,7 @@ where
     }
 }
 
-fn abd_worlds() -> (Sim<ShardedAbd>, Sim<StoreAbd>) {
+fn abd_worlds() -> (Sim<ShardedAbd>, Sim<ShardedAbd<StoreAbdBackend>>) {
     let spec = ValueSpec::from_bits(SPEC);
     let map = ShardMap::full(N);
     let legacy = Sim::new(
@@ -136,7 +135,7 @@ fn abd_worlds() -> (Sim<ShardedAbd>, Sim<StoreAbd>) {
     (legacy, store)
 }
 
-fn cas_worlds(cfg: &ShardedCasConfig) -> (Sim<ShardedCas>, Sim<StoreCas>) {
+fn cas_worlds(cfg: &ShardedCasConfig) -> (Sim<ShardedCas>, Sim<ShardedCas<StoreCasBackend>>) {
     let legacy = Sim::new(
         SimConfig::without_gossip(),
         (0..N)
@@ -170,7 +169,7 @@ fn hashed_worlds(
     cfg: &ShardedCasConfig,
 ) -> (
     Sim<ShardedHashed>,
-    Sim<StoreHashed>,
+    Sim<ShardedHashed<StoreHashedBackend>>,
     Vec<StoreHashedBackend>,
 ) {
     let backends: Vec<StoreHashedBackend> = (0..N)

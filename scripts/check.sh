@@ -41,7 +41,7 @@ cargo test --release -q -p shmem-bench --test store_gate
 echo "==> ledger gate: the benchmark crate builds and passes against the workspace's public API (release)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> perf smoke: step throughput vs committed baseline (release)"
+echo "==> perf smoke: step throughput as same-run ratios to a calibration loop (release)"
 cargo run --release -q -p shmem-bench --bin perf_smoke
 
 echo "==> cargo bench --no-run"

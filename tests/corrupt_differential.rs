@@ -21,13 +21,11 @@
 //! particular read happened to draw.
 
 use shmem_algorithms::cas::{
-    ShardedCas, ShardedCasClient, ShardedCasConfig, ShardedCasMsg, ShardedCasServer,
-    ShardedCasServerOn,
+    ShardedCas, ShardedCasClient, ShardedCasConfig, ShardedCasServer, ShardedCasServerOn,
 };
 use shmem_algorithms::corrupt::modes;
 use shmem_algorithms::hashed::{
-    ShardedHashed, ShardedHashedClient, ShardedHashedMsg, ShardedHashedServer,
-    ShardedHashedServerOn,
+    ShardedHashed, ShardedHashedClient, ShardedHashedServer, ShardedHashedServerOn,
 };
 use shmem_algorithms::{project_histories, Key, MultiInv, MultiResp, RegResp, ShardMap, ValueSpec};
 use shmem_erasure::CodeError;
@@ -215,38 +213,6 @@ fn net_world(algorithm: NetAlgorithm, batch: usize, seed: u64) -> BTreeMap<Key, 
 /// Worker threads per pooled server.
 const WORKERS: usize = 2;
 
-/// Sharded CAS over pooled shared stores with the corruption decorator
-/// at the backend seam.
-struct CorruptStoreCas;
-
-impl Protocol for CorruptStoreCas {
-    type Msg = ShardedCasMsg;
-    type Inv = MultiInv;
-    type Resp = MultiResp;
-    type Server = ShardedCasServerOn<CorruptingBackend<StoreCasBackend>>;
-    type Client = ShardedCasClient;
-
-    fn msg_wire_bytes(msg: &ShardedCasMsg) -> u64 {
-        msg.wire_bytes()
-    }
-}
-
-/// Hashed CAS over pooled shared stores with the corruption decorator
-/// at the backend seam.
-struct CorruptStoreHashed;
-
-impl Protocol for CorruptStoreHashed {
-    type Msg = ShardedHashedMsg;
-    type Inv = MultiInv;
-    type Resp = MultiResp;
-    type Server = ShardedHashedServerOn<CorruptingBackend<StoreHashedBackend>>;
-    type Client = ShardedHashedClient;
-
-    fn msg_wire_bytes(msg: &ShardedHashedMsg) -> u64 {
-        msg.wire_bytes()
-    }
-}
-
 /// The pooled-store world: every server is a pool of [`WORKERS`] workers
 /// over one shared striped store; server 0's workers serve through an
 /// armed [`CorruptingBackend`].
@@ -264,7 +230,10 @@ fn store_cas_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
                 .collect()
         })
         .collect();
-    let cluster = NetCluster::<CorruptStoreCas>::start_pooled(NetBackend::InProc, pools);
+    let cluster = NetCluster::<ShardedCas<CorruptingBackend<StoreCasBackend>>>::start_pooled(
+        NetBackend::InProc,
+        pools,
+    );
     let load = net_load(batch, seed);
     let client_cfg = cfg.clone();
     let handle = cluster.spawn_load(&load, move |id| {
@@ -290,7 +259,10 @@ fn store_hashed_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
                 .collect()
         })
         .collect();
-    let cluster = NetCluster::<CorruptStoreHashed>::start_pooled(NetBackend::InProc, pools);
+    let cluster = NetCluster::<ShardedHashed<CorruptingBackend<StoreHashedBackend>>>::start_pooled(
+        NetBackend::InProc,
+        pools,
+    );
     let load = net_load(batch, seed);
     let client_cfg = cfg.clone();
     let handle = cluster.spawn_load(&load, move |id| {
