@@ -48,15 +48,12 @@ fn main() {
             "tab-workloads",
             "tab-traffic",
             "tab-probe-cache",
-            "tab-codec",
             "tab-nemesis",
             "tab-corrupt",
             "tab-metrics",
             "tab-fuzz",
-            "tab-simperf",
             "tab-shard",
             "tab-net",
-            "tab-store",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -88,7 +85,6 @@ fn main() {
             "tab-workloads" => measured::workloads_table(7),
             "tab-traffic" => measured::traffic_table(),
             "tab-probe-cache" => measured::probe_cache_table(5, 2, 4, 2),
-            "tab-codec" => measured::codec_table(21, 11, &[1 << 10, 1 << 14, 1 << 16, 1 << 20]),
             "tab-nemesis" => measured::nemesis_table(
                 100_000,
                 std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
@@ -98,10 +94,8 @@ fn main() {
                 std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
             ),
             "tab-metrics" => measured::metrics_table(5, 1, &[1, 2, 3], 42),
-            "tab-simperf" => measured::simperf_table(9, 50),
             "tab-shard" => measured::shard_table(42),
             "tab-net" => measured::net_table(42),
-            "tab-store" => measured::store_table(42),
             "tab-fuzz" => measured::fuzz_table(
                 21,
                 100_000,

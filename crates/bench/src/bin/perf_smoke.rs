@@ -1,28 +1,47 @@
-//! Step-throughput regression gate (`perf-smoke`).
+//! Same-run ratio gate (`perf-smoke`) — the one file under
+//! `crates/bench/src` that reads a clock (`scripts/check.sh` enforces it).
 //!
-//! Measures the `tab-simperf` configurations and gates on *same-run
-//! ratios*, never on absolute nanoseconds: each cell's min-of-trials
-//! ns/step divided by the min ns/iteration of a fixed calibration loop
-//! timed in this process on either side of the cell, plus two ratios
-//! between normalized cells (metered ÷ plain, n = 21 ÷ n = 5). A faster,
-//! slower or busier machine moves numerator and denominator together, so
-//! the limits below hold on any box; a real regression — say the hot
-//! loop reacquiring a per-step `Arc::make_mut` — moves only the
-//! numerator. Each limit is about twice the ratio measured when it was
-//! set, the same deliberately loose tolerance the gate has always had,
-//! so shared CI runners don't flap.
+//! Absolute timings are the ledger's (`BENCHMARK.json`: `sim.ns_per_step`,
+//! `store.ops_per_s_t1`, `erasure.encode_ns_per_call`, …). This binary is
+//! for machines that cannot spare 30-second workloads: it gates on
+//! *ratios measured in one process*, never on absolute nanoseconds.
 //!
-//! The run also writes `results/tab-simperf.{csv,json}` so the run that
-//! gated is the run that is recorded.
+//! * Simulator cells: min-of-trials ns/step divided by the min
+//!   ns/iteration of a fixed calibration loop timed on either side of the
+//!   cell, plus two ratios between normalized cells (metered ÷ plain,
+//!   n = 21 ÷ n = 5). A faster, slower or busier machine moves numerator
+//!   and denominator together, so the limits below hold on any box; a
+//!   real regression — say the hot loop reacquiring a per-step
+//!   `Arc::make_mut` — moves only the numerator. Each limit is about
+//!   twice the ratio measured when it was set, the same deliberately
+//!   loose tolerance the gate has always had, so shared CI runners don't
+//!   flap.
+//! * Store floor: the striped shared store at 4 accessing threads must
+//!   not fall below the sequential `LocalAbd` at 1 on the same mix.
+//!   Sharing costs a lock per call and buys back shallower trees (each
+//!   stripe's `BTreeMap` holds 1/64 of the keyspace), so the floor holds
+//!   on one core too.
+//! * Codec floor: the slab `Codec` must encode and decode at least 1.5×
+//!   as fast as the legacy symbol-at-a-time `ReedSolomon` it is
+//!   byte-identical to (`crates/erasure/tests/slab_parity.rs`).
 
-use shmem_bench::measured::{shardperf_cell, simperf_cell, simperf_table, SimperfCell};
-use shmem_bench::render::{render_csv, render_json};
+use shmem_algorithms::backend::{AbdBackend, LocalAbd};
+use shmem_algorithms::harness::{AbdCluster, ShardedAbdCluster};
+use shmem_algorithms::multikey::ShardMap;
+use shmem_algorithms::reg::RegInv;
+use shmem_algorithms::tag::Tag;
+use shmem_algorithms::value::ValueSpec;
+use shmem_algorithms::workloads::{run_zipf_batches, ZipfKeys};
+use shmem_erasure::{Codec, Gf256, ReedSolomon};
+use shmem_sim::ClientId;
+use shmem_store::{RegStore, StoreAbdBackend};
+use shmem_util::DetRng;
 use std::collections::VecDeque;
 use std::hint::black_box;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Trials per cell; more than the figures default because a gate wants
-/// its min-of-trials estimator saturated.
+/// Trials per cell: enough to saturate a min-of-trials estimator.
 const TRIALS: u32 = 15;
 /// Writes per trial.
 const WRITES: u32 = 50;
@@ -42,6 +61,11 @@ const SHARD_LIMIT: f64 = 140.0;
 const METERED_OVER_PLAIN: f64 = 6.0;
 /// Limit on n = 21 ÷ n = 5, plain: a step must not grow with the cluster.
 const N21_OVER_N5: f64 = 2.0;
+/// Floor on striped store at 4 threads ÷ `LocalAbd` at 1, ops/s.
+const STORE_T4_OVER_LOCAL_T1: f64 = 1.0;
+/// Floor on slab `Codec` ÷ legacy `ReedSolomon`, calls/s, RS[21,11] at
+/// 16 KiB, for encode and for decode.
+const SLAB_OVER_LEGACY: f64 = 1.5;
 
 /// Min-of-trials ns per iteration of a fixed loop: small buffers of
 /// mixed sizes allocated into a queue and freed off its other end — the
@@ -67,6 +91,210 @@ fn calibration_ns() -> f64 {
     best
 }
 
+/// One measured simulator cell.
+struct SimperfCell {
+    /// Events (deliveries + drops) per trial — deterministic for a
+    /// configuration, so it doubles as a schedule fingerprint.
+    events: u64,
+    /// Fastest trial, nanoseconds per event.
+    min_ns: u64,
+    /// Median trial, nanoseconds per event.
+    median_ns: u64,
+}
+
+/// Runs `trial` — which returns (events, elapsed ns) — [`TRIALS`] times.
+/// Every trial replays the same seeded schedule, so the event count must
+/// repeat and trial-to-trial spread is pure timing noise: the min is the
+/// least-perturbed run, the median a stability check beside it.
+fn measure(what: &str, mut trial: impl FnMut() -> (u64, u64)) -> SimperfCell {
+    let mut per_trial: Vec<u64> = Vec::new();
+    let mut events_per_trial = 0u64;
+    for i in 0..TRIALS {
+        let (events, elapsed_ns) = trial();
+        assert!(events > 0, "{what} cell did no work");
+        if i == 0 {
+            events_per_trial = events;
+        } else {
+            assert_eq!(
+                events, events_per_trial,
+                "{what} schedule not deterministic"
+            );
+        }
+        per_trial.push(elapsed_ns / events);
+    }
+    per_trial.sort_unstable();
+    SimperfCell {
+        events: events_per_trial,
+        min_ns: per_trial[0],
+        median_ns: per_trial[per_trial.len() / 2],
+    }
+}
+
+/// Simulator step cost at one (cluster size, fault rate, metrics)
+/// configuration: a single-writer ABD workload through the fair
+/// scheduler; at the given per-event probability the next event is a
+/// nemesis-style head drop (chosen via `step_options_into`, exactly the
+/// explorer's access pattern) instead of a delivery. Every event —
+/// delivery or drop — counts as one step. The event count is identical
+/// for the metered/unmetered pair of a configuration, so their ratio
+/// isolates pure observer overhead.
+fn simperf_cell(n: u32, f: u32, fault_permille: u32, metered: bool) -> SimperfCell {
+    let spec = ValueSpec::from_bits(64.0);
+    let mut options = Vec::new();
+    measure("simperf", || {
+        let mut cl = AbdCluster::new(n, f, 1, spec);
+        if metered {
+            cl = cl.metered();
+        }
+        let mut rng = DetRng::seed_from_u64(0x51_3F ^ u64::from(fault_permille));
+        let mut events = 0u64;
+        let start = Instant::now();
+        for v in 0..WRITES {
+            if !cl.sim.has_open_op(ClientId(0)) {
+                cl.begin(0, RegInv::Write(u64::from(v % 8))).expect("begin");
+            }
+            loop {
+                if fault_permille > 0 && rng.gen_range(0..1000u32) < fault_permille {
+                    cl.sim.step_options_into(&mut options);
+                    if !options.is_empty() {
+                        let (from, to) = options[rng.gen_range(0..options.len())];
+                        cl.sim.drop_head(from, to).expect("drop head");
+                        events += 1;
+                        continue;
+                    }
+                }
+                if cl.sim.step_fair().is_some() {
+                    events += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        (events, start.elapsed().as_nanos() as u64)
+    })
+}
+
+/// The batched multi-key cell: ns per scheduler step of a seeded
+/// Zipf(0.99) batch-16 workload (2 writers + 2 readers, 64 keys, 8
+/// rounds) over a metered two-shard sharded ABD keyspace.
+fn shardperf_cell() -> SimperfCell {
+    let spec = ValueSpec::from_bits(64.0);
+    let zipf = ZipfKeys::new(64, 0.99);
+    measure("shardperf", || {
+        let map = ShardMap::new(10, 2, 5);
+        let mut cl = ShardedAbdCluster::new(map, 1, 4, spec).metered();
+        let start = Instant::now();
+        let events = run_zipf_batches(&mut cl, &zipf, 2, 2, 16, 8, 0xB16).expect("zipf workload");
+        (events, start.elapsed().as_nanos() as u64)
+    })
+}
+
+/// Keyspace for the store mix: large enough that the sequential
+/// backend's tree walks are representative of a real multi-register
+/// deployment.
+const STORE_KEYSPACE: u64 = 4096;
+/// Per-thread operation budget for the store mix.
+const STORE_OPS_PER_THREAD: usize = 200_000;
+const STORE_SEED: u64 = 42;
+
+/// The canonical mixed op against any ABD backend: tag-read + bump-write
+/// or plain read, 1:3 write:read.
+fn store_mixed_op<B: AbdBackend>(backend: &mut B, rng: &mut DetRng, me: u32, seq: u64) {
+    let key = rng.gen_range(0..STORE_KEYSPACE);
+    if rng.gen_bool(0.25) {
+        let cur = backend.load(key).map_or(Tag::ZERO, |(t, _)| t);
+        backend.store_if_newer(key, cur.successor(me), seq);
+    } else {
+        black_box(backend.load(key));
+    }
+}
+
+/// Ops/s of the sequential reference backend, single-threaded.
+fn local_mix_ops_per_s() -> f64 {
+    let mut backend = LocalAbd::new();
+    let mut rng = DetRng::seed_from_u64(STORE_SEED);
+    let start = Instant::now();
+    for seq in 0..STORE_OPS_PER_THREAD {
+        store_mixed_op(&mut backend, &mut rng, 0, seq as u64);
+    }
+    STORE_OPS_PER_THREAD as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Ops/s of the striped shared store at `threads` accessing threads
+/// (same per-thread op budget and mix as the sequential baseline).
+fn store_mix_ops_per_s(threads: u32) -> f64 {
+    let store = Arc::new(RegStore::new());
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let mut backend = StoreAbdBackend::shared(&store);
+            let mut rng = DetRng::seed_from_u64(STORE_SEED ^ (u64::from(t) << 20));
+            scope.spawn(move || {
+                for seq in 0..STORE_OPS_PER_THREAD {
+                    store_mixed_op(&mut backend, &mut rng, t, seq as u64);
+                }
+            });
+        }
+    });
+    (threads as usize * STORE_OPS_PER_THREAD) as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Striped store at 4 threads ÷ `LocalAbd` at 1. Best of three per side:
+/// the ratio is the deliverable, and a single descheduled run on a
+/// loaded box would skew it either way.
+fn store_ratio() -> f64 {
+    let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::NEG_INFINITY, f64::max);
+    let local = best(&local_mix_ops_per_s);
+    let store = best(&|| store_mix_ops_per_s(4));
+    println!("store mix: LocalAbd×1 {local:.0} ops/s, striped store×4 {store:.0} ops/s");
+    store / local
+}
+
+/// Mean calls/s of `op` over enough repetitions to fill a 20 ms
+/// measurement window (one warm-up run first).
+fn calls_per_s(mut op: impl FnMut()) -> f64 {
+    op();
+    let mut reps: u32 = 1;
+    loop {
+        let start = Instant::now();
+        for _ in 0..reps {
+            op();
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= Duration::from_millis(20) || reps >= 1 << 14 {
+            return f64::from(reps) / elapsed.as_secs_f64();
+        }
+        reps *= 4;
+    }
+}
+
+/// Slab ÷ legacy calls/s at RS[21,11] over GF(2⁸) on a 16 KiB payload:
+/// (encode, decode).
+fn codec_ratios() -> (f64, f64) {
+    let (n, k, size) = (21, 11, 1 << 14);
+    let legacy = ReedSolomon::<Gf256>::new(n, k).expect("legal geometry");
+    let codec = Codec::<Gf256>::new(n, k).expect("legal geometry");
+    let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+    let shares = legacy.encode_bytes(&data);
+    // Decode from the worst-case pattern for the reference: the last k
+    // shares (a dense Vandermonde submatrix, no identity rows).
+    let picked: Vec<(usize, Vec<u8>)> = (n - k..n).map(|i| (i, shares[i].clone())).collect();
+
+    let legacy_enc = calls_per_s(|| {
+        black_box(legacy.encode_bytes(black_box(&data)));
+    });
+    let slab_enc = calls_per_s(|| {
+        black_box(codec.encode_bytes(black_box(&data)));
+    });
+    let legacy_dec = calls_per_s(|| {
+        black_box(legacy.decode_bytes(black_box(&picked), size).unwrap());
+    });
+    let slab_dec = calls_per_s(|| {
+        black_box(codec.decode_bytes(black_box(&picked), size).unwrap());
+    });
+    (slab_enc / legacy_enc, slab_dec / legacy_dec)
+}
+
 fn key(n: u32, f: u32, fault_permille: u32, metered: bool) -> String {
     format!(
         "n{n}_f{f}_fault{fault_permille}_{}",
@@ -75,14 +303,6 @@ fn key(n: u32, f: u32, fault_permille: u32, metered: bool) -> String {
 }
 
 fn main() {
-    // Write the full table first so every run leaves the artifacts the
-    // evaluation references.
-    let table = simperf_table(9, WRITES);
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/tab-simperf.csv", render_csv(&table)).expect("write csv");
-    std::fs::write("results/tab-simperf.json", render_json(&table)).expect("write json");
-    println!("wrote results/tab-simperf.{{csv,json}}");
-
     // A cell's min ns/step over the slower of the calibrations on either
     // side of it: if the machine slowed down under the cell, one of them
     // saw it too.
@@ -97,17 +317,19 @@ fn main() {
         );
         cell.min_ns as f64 / calib
     };
-    let mut ratios = Vec::new();
+    // (what, ratio, limit, whether the limit is a floor)
+    let mut ratios: Vec<(String, f64, f64, bool)> = Vec::new();
     for &(n, f, fault, metered, limit) in CELLS {
         let name = key(n, f, fault, metered);
-        let ratio = normalized(&name, simperf_cell(n, f, fault, metered, TRIALS, WRITES));
-        ratios.push((format!("{name} ÷ calibration"), ratio, limit));
+        let ratio = normalized(&name, simperf_cell(n, f, fault, metered));
+        ratios.push((format!("{name} ÷ calibration"), ratio, limit, false));
     }
-    let shard = normalized("shard_n10x2_b16_metered", shardperf_cell(TRIALS, 8));
+    let shard = normalized("shard_n10x2_b16_metered", shardperf_cell());
     ratios.push((
         "shard_n10x2_b16_metered ÷ calibration".into(),
         shard,
         SHARD_LIMIT,
+        false,
     ));
     // CELLS order: n5 plain, n21 plain, n21 metered, n21 faulty.
     let (n5, n21, n21_metered) = (ratios[0].1, ratios[1].1, ratios[2].1);
@@ -115,20 +337,42 @@ fn main() {
         "metered ÷ plain (n=21)".into(),
         n21_metered / n21,
         METERED_OVER_PLAIN,
+        false,
     ));
-    ratios.push(("n=21 ÷ n=5 (plain)".into(), n21 / n5, N21_OVER_N5));
+    ratios.push(("n=21 ÷ n=5 (plain)".into(), n21 / n5, N21_OVER_N5, false));
+
+    ratios.push((
+        "striped store×4 ÷ LocalAbd×1 (ops/s)".into(),
+        store_ratio(),
+        STORE_T4_OVER_LOCAL_T1,
+        true,
+    ));
+    let (enc, dec) = codec_ratios();
+    for (what, ratio) in [("encode", enc), ("decode", dec)] {
+        ratios.push((
+            format!("slab ÷ legacy {what} (RS[21,11], 16 KiB)"),
+            ratio,
+            SLAB_OVER_LEGACY,
+            true,
+        ));
+    }
 
     let mut failed = false;
-    for (what, ratio, limit) in ratios {
-        if ratio > limit {
-            eprintln!("FAIL {what}: {ratio:.2} > {limit}");
-            failed = true;
+    for (what, ratio, limit, floor) in ratios {
+        let (ok, relation) = if floor {
+            (ratio >= limit, "≥")
         } else {
-            println!("ok   {what}: {ratio:.2} ≤ {limit}");
+            (ratio <= limit, "≤")
+        };
+        if ok {
+            println!("ok   {what}: {ratio:.2} {relation} {limit}");
+        } else {
+            eprintln!("FAIL {what}: {ratio:.2} not {relation} {limit}");
+            failed = true;
         }
     }
     if failed {
-        eprintln!("perf-smoke: step-throughput regression detected");
+        eprintln!("perf-smoke: regression detected");
         std::process::exit(1);
     }
     println!("perf-smoke: every ratio within its limit");

@@ -188,15 +188,14 @@ pub fn constraint_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
     t
 }
 
-/// Probe-engine instrumentation: probes issued, verdict-cache hits, and
-/// wall-clock for the counting verifiers, per worker count. The verdicts
-/// themselves are bit-identical across the worker grid (asserted by
+/// Probe-engine instrumentation: probes issued and verdict-cache hits for
+/// the counting verifiers, per worker count. The verdicts themselves are
+/// bit-identical across the worker grid (asserted by
 /// `crates/core/tests/engine_parity.rs`); this table reports the cost side.
 pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
     use shmem_core::counting::pairwise_counting_with;
     use shmem_core::multiwrite::vector_counting_with;
     use shmem_core::probe::ProbeEngine;
-    use std::time::Instant;
 
     let mut t = Table::new(
         format!("Probe engine on the counting verifiers, N={n}, f={f}, |V|={card}"),
@@ -207,7 +206,6 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
             "cache hits",
             "hit rate",
             "injective",
-            "wall-clock",
         ],
     );
     let domain: Vec<u64> = (1..card).collect();
@@ -215,9 +213,7 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
 
     let mut row = |name: &str, workers: usize, run: &dyn Fn(&ProbeEngine) -> bool| {
         let engine = ProbeEngine::with_workers(workers);
-        let start = Instant::now();
         let injective = run(&engine);
-        let elapsed = start.elapsed();
         let stats = engine.stats();
         t.push(vec![
             name.into(),
@@ -226,7 +222,6 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
             stats.hits.to_string(),
             format!("{:.2}", stats.hit_rate()),
             injective.to_string(),
-            format!("{:.1} ms", elapsed.as_secs_f64() * 1e3),
         ]);
     };
 
@@ -730,23 +725,6 @@ mod shape_tests {
     }
 
     #[test]
-    fn codec_table_shows_slab_speedup() {
-        // Small sizes keep the test fast; the real gate (>= 5x at 64 KiB)
-        // is demonstrated by `figures tab-codec` into results/.
-        let t = codec_table(21, 11, &[1 << 14]);
-        assert_eq!(t.rows.len(), 1);
-        let row = &t.rows[0];
-        assert_eq!(row[0], "16 KiB");
-        let enc_speedup: f64 = row[3].trim_end_matches('x').parse().unwrap();
-        let dec_speedup: f64 = row[6].trim_end_matches('x').parse().unwrap();
-        assert!(enc_speedup > 1.5, "encode speedup {enc_speedup}");
-        assert!(dec_speedup > 1.5, "decode speedup {dec_speedup}");
-        // The repeated decodes of one erasure pattern hit the plan cache.
-        let hit_rate: f64 = row[7].parse().unwrap();
-        assert!(hit_rate > 0.9, "hit rate {hit_rate}");
-    }
-
-    #[test]
     fn shard_table_batching_amortizes_messages() {
         let t = shard_table(42);
         assert_eq!(t.rows.len(), 18);
@@ -806,94 +784,6 @@ mod shape_tests {
         // No plain algorithm gossips.
         assert_eq!(row("CAS", "read")[4], "0");
     }
-}
-
-/// `tab-codec`: slab codec vs the legacy symbol-at-a-time Reed–Solomon path at
-/// one geometry, across a payload size sweep — MB/s for encode and
-/// decode on both paths, the resulting speedups, and the slab codec's
-/// decode-plan cache hit rate. The two paths produce byte-identical
-/// output (asserted by `crates/erasure/tests/slab_parity.rs`); this
-/// table reports the cost side.
-pub fn codec_table(n: usize, k: usize, sizes: &[usize]) -> Table {
-    use shmem_erasure::{Codec, Gf256, ReedSolomon};
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Mean throughput of `op` over enough repetitions to fill a 20 ms
-    /// measurement window (one warm-up run first).
-    fn throughput_mbs(bytes: usize, mut op: impl FnMut()) -> f64 {
-        op();
-        let mut reps: u32 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..reps {
-                op();
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= Duration::from_millis(20) || reps >= 1 << 14 {
-                return bytes as f64 * f64::from(reps) / elapsed.as_secs_f64() / 1e6;
-            }
-            reps *= 4;
-        }
-    }
-
-    fn format_size(bytes: usize) -> String {
-        if bytes >= 1 << 20 && bytes.is_multiple_of(1 << 20) {
-            format!("{} MiB", bytes >> 20)
-        } else if bytes >= 1 << 10 && bytes.is_multiple_of(1 << 10) {
-            format!("{} KiB", bytes >> 10)
-        } else {
-            format!("{bytes} B")
-        }
-    }
-
-    let legacy = ReedSolomon::<Gf256>::new(n, k).expect("legal geometry");
-    let codec = Codec::<Gf256>::new(n, k).expect("legal geometry");
-    let mut t = Table::new(
-        format!("Slab codec vs legacy symbol path, RS[{n},{k}] over GF(256)"),
-        &[
-            "payload",
-            "legacy enc MB/s",
-            "slab enc MB/s",
-            "enc speedup",
-            "legacy dec MB/s",
-            "slab dec MB/s",
-            "dec speedup",
-            "plan hit rate",
-        ],
-    );
-    for &size in sizes {
-        let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
-        let shares = legacy.encode_bytes(&data);
-        // Decode from the worst-case pattern for the reference: the last
-        // k shares (a dense Vandermonde submatrix, no identity rows).
-        let picked: Vec<(usize, Vec<u8>)> = (n - k..n).map(|i| (i, shares[i].clone())).collect();
-
-        let legacy_enc = throughput_mbs(size, || {
-            black_box(legacy.encode_bytes(black_box(&data)));
-        });
-        let slab_enc = throughput_mbs(size, || {
-            black_box(codec.encode_bytes(black_box(&data)));
-        });
-        let legacy_dec = throughput_mbs(size, || {
-            black_box(legacy.decode_bytes(black_box(&picked), size).unwrap());
-        });
-        let slab_dec = throughput_mbs(size, || {
-            black_box(codec.decode_bytes(black_box(&picked), size).unwrap());
-        });
-
-        t.push(vec![
-            format_size(size),
-            format!("{legacy_enc:.1}"),
-            format!("{slab_enc:.1}"),
-            format!("{:.1}x", slab_enc / legacy_enc),
-            format!("{legacy_dec:.1}"),
-            format!("{slab_dec:.1}"),
-            format!("{:.1}x", slab_dec / legacy_dec),
-            format!("{:.3}", codec.stats().hit_rate()),
-        ]);
-    }
-    t
 }
 
 /// `tab-nemesis`: the fault-injection explorer's verdict table. Each
@@ -1557,134 +1447,6 @@ mod nemesis_tests {
     }
 }
 
-/// `tab-simperf`: wall-clock simulator step throughput across cluster
-/// size × fault rate × metrics level.
-///
-/// Each cell drives a single-writer ABD workload through the fair
-/// scheduler; at the given per-event probability the next event is a
-/// nemesis-style head drop (chosen via `step_options_into`, exactly the
-/// explorer's access pattern) instead of a delivery. Every event —
-/// delivery or drop — counts as one step. Timing is min-of-trials
-/// (the least-perturbed run) with the median alongside as a stability
-/// check; the event count per trial is deterministic and identical for
-/// the metered/unmetered pair of a configuration, so the metrics column
-/// isolates pure observer overhead.
-///
-/// `scripts/check.sh` gates on this table via `perf-smoke`, which
-/// divides the min column by a calibration loop timed in the same
-/// process and compares the ratios against limits of about 2×.
-pub fn simperf_table(trials: u32, writes: u32) -> Table {
-    let mut t = Table::new(
-        format!("Simulator step throughput, {writes} writes/trial, {trials} trials/cell"),
-        &[
-            "n",
-            "f",
-            "fault rate",
-            "metrics",
-            "events/trial",
-            "ns/step min",
-            "ns/step median",
-        ],
-    );
-    for &(n, f) in &[(5u32, 2u32), (11, 5), (21, 10)] {
-        for &fault_permille in &[0u32, 100] {
-            for &metered in &[false, true] {
-                let m = simperf_cell(n, f, fault_permille, metered, trials, writes);
-                t.push(vec![
-                    n.to_string(),
-                    f.to_string(),
-                    format!("{:.1}%", f64::from(fault_permille) / 10.0),
-                    if metered { "full" } else { "off" }.into(),
-                    m.events.to_string(),
-                    m.min_ns.to_string(),
-                    m.median_ns.to_string(),
-                ]);
-            }
-        }
-    }
-    t
-}
-
-/// One measured cell of [`simperf_table`].
-pub struct SimperfCell {
-    /// Events (deliveries + drops) per trial — deterministic for a
-    /// configuration, so it doubles as a schedule fingerprint.
-    pub events: u64,
-    /// Fastest trial, nanoseconds per event.
-    pub min_ns: u64,
-    /// Median trial, nanoseconds per event.
-    pub median_ns: u64,
-}
-
-/// Measures one (cluster size, fault rate, metrics) configuration; see
-/// [`simperf_table`]. Exposed so the `perf-smoke` gate can probe exactly
-/// the configurations it has limits for.
-pub fn simperf_cell(
-    n: u32,
-    f: u32,
-    fault_permille: u32,
-    metered: bool,
-    trials: u32,
-    writes: u32,
-) -> SimperfCell {
-    use shmem_algorithms::reg::RegInv;
-    use shmem_util::DetRng;
-
-    let spec = ValueSpec::from_bits(64.0);
-    let mut per_trial: Vec<u64> = Vec::new();
-    let mut events_per_trial = 0u64;
-    let mut options = Vec::new();
-    for trial in 0..trials {
-        let mut cl = AbdCluster::new(n, f, 1, spec);
-        if metered {
-            cl = cl.metered();
-        }
-        // Same seed every trial: identical schedules, so trial-to-trial
-        // spread is pure timing noise.
-        let mut rng = DetRng::seed_from_u64(0x51_3F ^ u64::from(fault_permille));
-        let mut events = 0u64;
-        let start = std::time::Instant::now();
-        for v in 0..writes {
-            if !cl.sim.has_open_op(ClientId(0)) {
-                cl.begin(0, RegInv::Write(u64::from(v % 8))).expect("begin");
-            }
-            loop {
-                if fault_permille > 0 && rng.gen_range(0..1000u32) < fault_permille {
-                    cl.sim.step_options_into(&mut options);
-                    if !options.is_empty() {
-                        let (from, to) = options[rng.gen_range(0..options.len())];
-                        cl.sim.drop_head(from, to).expect("drop head");
-                        events += 1;
-                        continue;
-                    }
-                }
-                if cl.sim.step_fair().is_some() {
-                    events += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        assert!(events > 0, "simperf cell did no work");
-        if trial == 0 {
-            events_per_trial = events;
-        } else {
-            assert_eq!(
-                events, events_per_trial,
-                "simperf schedule not deterministic"
-            );
-        }
-        per_trial.push(elapsed / events);
-    }
-    per_trial.sort_unstable();
-    SimperfCell {
-        events: events_per_trial,
-        min_ns: per_trial[0],
-        median_ns: per_trial[per_trial.len() / 2],
-    }
-}
-
 /// `tab-shard`: batched quorum rounds over a sharded multi-register
 /// keyspace — the cost side of the sharding tentpole.
 ///
@@ -1789,50 +1551,10 @@ pub fn shard_table(seed: u64) -> Table {
     t
 }
 
-/// One measured cell of the batched multi-key workload gated by
-/// `perf-smoke`: ns per scheduler step of a seeded Zipf(0.99) batch-16
-/// workload (2 writers + 2 readers, 64 keys) over a metered two-shard
-/// sharded ABD keyspace. Same estimator discipline as [`simperf_cell`]:
-/// identical seed every trial, so the event count doubles as a schedule
-/// fingerprint and trial-to-trial spread is pure timing noise.
-pub fn shardperf_cell(trials: u32, rounds: u32) -> SimperfCell {
-    use shmem_algorithms::harness::ShardedAbdCluster;
-    use shmem_algorithms::multikey::ShardMap;
-    use shmem_algorithms::workloads::{run_zipf_batches, ZipfKeys};
-
-    let spec = ValueSpec::from_bits(64.0);
-    let zipf = ZipfKeys::new(64, 0.99);
-    let mut per_trial: Vec<u64> = Vec::new();
-    let mut events_per_trial = 0u64;
-    for trial in 0..trials {
-        let map = ShardMap::new(10, 2, 5);
-        let mut cl = ShardedAbdCluster::new(map, 1, 4, spec).metered();
-        let start = std::time::Instant::now();
-        let events =
-            run_zipf_batches(&mut cl, &zipf, 2, 2, 16, rounds, 0xB16).expect("zipf workload");
-        let elapsed = start.elapsed().as_nanos() as u64;
-        assert!(events > 0, "shardperf cell did no work");
-        if trial == 0 {
-            events_per_trial = events;
-        } else {
-            assert_eq!(
-                events, events_per_trial,
-                "shardperf schedule not deterministic"
-            );
-        }
-        per_trial.push(elapsed / events);
-    }
-    per_trial.sort_unstable();
-    SimperfCell {
-        events: events_per_trial,
-        min_ns: per_trial[0],
-        median_ns: per_trial[per_trial.len() / 2],
-    }
-}
-
-/// `tab-net`: closed-loop throughput/latency of the emulations over real
-/// transports, with the same atomicity oracle and storage probe the
-/// simulator tables use.
+/// `tab-net`: closed-loop runs of the emulations over real transports,
+/// with the same message accounting, atomicity oracle and storage probe
+/// the simulator tables use. (Throughput and latency are the ledger's:
+/// `ops_per_s` and `unloaded_p50_ms` on its three net workloads.)
 ///
 /// Every row spins an actual cluster — server event loops on their own
 /// threads, client workers multiplexing hundreds of logical clients —
@@ -1853,9 +1575,6 @@ pub fn net_table(seed: u64) -> Table {
             "clients",
             "batch",
             "ops",
-            "ops/s",
-            "p50 us",
-            "p99 us",
             "msgs/op",
             "wire B/op",
             "retrans",
@@ -1912,9 +1631,6 @@ pub fn net_table(seed: u64) -> Table {
             clients.to_string(),
             batch.to_string(),
             outcome.report.completed.to_string(),
-            format!("{:.0}", outcome.report.throughput()),
-            format!("{:.1}", outcome.report.latency_us(0.50)),
-            format!("{:.1}", outcome.report.latency_us(0.99)),
             format!("{:.2}", outcome.report.msgs_sent as f64 / total_ops as f64),
             format!("{:.1}", outcome.report.wire_bytes as f64 / total_ops as f64),
             outcome.report.retransmits.to_string(),
@@ -1927,106 +1643,6 @@ pub fn net_table(seed: u64) -> Table {
         ]);
     }
     t
-}
-
-/// One measured cell of the concurrent-store throughput sweep
-/// (`tab-store`).
-pub struct StoreCell {
-    /// `"local"` (sequential `BTreeMap` backend) or `"store"` (striped
-    /// shared store).
-    pub backend: &'static str,
-    /// Accessing threads (always 1 for `"local"`).
-    pub threads: u32,
-    /// Total operations performed.
-    pub ops: u64,
-    /// Completed operations per second.
-    pub ops_per_sec: f64,
-    /// Throughput relative to the single-threaded `"local"` baseline.
-    pub speedup: f64,
-}
-
-/// Keyspace for the store mixes: large enough that the sequential
-/// backend's tree walks are representative of a real multi-register
-/// deployment.
-const STORE_KEYSPACE: u64 = 4096;
-/// Per-thread operation budget for the throughput mixes.
-const STORE_OPS_PER_THREAD: usize = 200_000;
-
-/// The canonical mixed op against any ABD backend: tag-read + bump-write
-/// or plain read, 1:3 write:read.
-fn store_mixed_op<B: shmem_algorithms::backend::AbdBackend>(
-    backend: &mut B,
-    rng: &mut shmem_util::DetRng,
-    me: u32,
-    seq: u64,
-) {
-    use shmem_algorithms::tag::Tag;
-    let key = rng.gen_range(0..STORE_KEYSPACE);
-    if rng.gen_bool(0.25) {
-        let cur = backend.load(key).map_or(Tag::ZERO, |(t, _)| t);
-        backend.store_if_newer(key, cur.successor(me), seq);
-    } else {
-        std::hint::black_box(backend.load(key));
-    }
-}
-
-/// Ops/sec of the sequential reference backend, single-threaded.
-fn run_local_register_mix(ops: usize, seed: u64) -> f64 {
-    let mut backend = shmem_algorithms::backend::LocalAbd::new();
-    let mut rng = shmem_util::DetRng::seed_from_u64(seed);
-    let start = std::time::Instant::now();
-    for seq in 0..ops {
-        store_mixed_op(&mut backend, &mut rng, 0, seq as u64);
-    }
-    ops as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Ops/sec of the striped shared store at `threads` accessing threads
-/// (same per-thread op budget and mix as the sequential baseline).
-fn run_store_register_mix(threads: u32, ops_per_thread: usize, seed: u64) -> f64 {
-    let store = std::sync::Arc::new(shmem_store::RegStore::new());
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let mut backend = shmem_store::StoreAbdBackend::shared(&store);
-            let mut rng = shmem_util::DetRng::seed_from_u64(seed ^ (u64::from(t) << 20));
-            scope.spawn(move || {
-                for seq in 0..ops_per_thread {
-                    store_mixed_op(&mut backend, &mut rng, t, seq as u64);
-                }
-            });
-        }
-    });
-    (threads as usize * ops_per_thread) as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// The `tab-store` measurements: the sequential baseline plus the shared
-/// store at 1/2/4 threads. The acceptance gate (`tests/store_gate.rs`)
-/// requires the 4-thread cell not to fall below the baseline.
-pub fn store_measurements(seed: u64) -> Vec<StoreCell> {
-    let ops = STORE_OPS_PER_THREAD;
-    // Best of three per cell: the ratio is the deliverable, and a single
-    // descheduled run on a loaded box would skew it either way.
-    let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::NEG_INFINITY, f64::max);
-    let base = best(&|| run_local_register_mix(ops, seed));
-    let mut cells = vec![StoreCell {
-        backend: "local",
-        threads: 1,
-        ops: ops as u64,
-        ops_per_sec: base,
-        speedup: 1.0,
-    }];
-    for threads in [1u32, 2, 4] {
-        let rate = best(&|| run_store_register_mix(threads, ops, seed));
-        cells.push(StoreCell {
-            backend: "store",
-            threads,
-            ops: u64::from(threads) * ops as u64,
-            ops_per_sec: rate,
-            speedup: rate / base,
-        });
-    }
-    cells
 }
 
 /// Steady-state per-key storage of the coded shared store on the paper's
@@ -2066,47 +1682,4 @@ pub fn store_storage_frontier() -> (f64, f64) {
         .sum();
     let per_key = state_bits / (keys as f64 * 64.0);
     (per_key, f64::from(n) / f64::from(n - f))
-}
-
-/// The `tab-store` table: concurrent-store throughput vs the sequential
-/// backend, plus the coded store's steady-state storage on the
-/// `N/(N−f)` frontier.
-pub fn store_table(seed: u64) -> Table {
-    let mut t = Table::new(
-        "Concurrent store (striped-lock shared backend, 4096 keys, 25% writes)",
-        &[
-            "backend",
-            "threads",
-            "ops",
-            "ops/s",
-            "speedup",
-            "per-key storage",
-            "bound N/(N-f)",
-            "bound ok",
-        ],
-    );
-    for c in store_measurements(seed) {
-        t.push(vec![
-            c.backend.to_string(),
-            c.threads.to_string(),
-            c.ops.to_string(),
-            format!("{:.0}", c.ops_per_sec),
-            format!("{:.2}", c.speedup),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-    }
-    let (per_key, bound) = store_storage_frontier();
-    t.push(vec![
-        "coded-store".to_string(),
-        "4".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("{per_key:.3}"),
-        format!("{bound:.3}"),
-        ((per_key - bound).abs() < 1e-9).to_string(),
-    ]);
-    t
 }
