@@ -3,27 +3,19 @@
 //!
 //! Absolute timings are the ledger's (`BENCHMARK.json`: `sim.ns_per_step`,
 //! `store.ops_per_s_t1`, `erasure.encode_ns_per_call`, …). This binary is
-//! for machines that cannot spare 30-second workloads: it gates on
-//! *ratios measured in one process*, never on absolute nanoseconds.
-//!
-//! * Simulator cells: min-of-trials ns/step divided by the min
-//!   ns/iteration of a fixed calibration loop timed on either side of the
-//!   cell, plus two ratios between normalized cells (metered ÷ plain,
-//!   n = 21 ÷ n = 5). A faster, slower or busier machine moves numerator
-//!   and denominator together, so the limits below hold on any box; a
-//!   real regression — say the hot loop reacquiring a per-step
-//!   `Arc::make_mut` — moves only the numerator. Each limit is about
-//!   twice the ratio measured when it was set, the same deliberately
-//!   loose tolerance the gate has always had, so shared CI runners don't
-//!   flap.
-//! * Store floor: the striped shared store at 4 accessing threads must
-//!   not fall below the sequential `LocalAbd` at 1 on the same mix.
-//!   Sharing costs a lock per call and buys back shallower trees (each
-//!   stripe's `BTreeMap` holds 1/64 of the keyspace), so the floor holds
-//!   on one core too.
-//! * Codec floor: the slab `Codec` must encode and decode at least 1.5×
-//!   as fast as the legacy symbol-at-a-time `ReedSolomon` it is
-//!   byte-identical to (`crates/erasure/tests/slab_parity.rs`).
+//! for machines that cannot spare 30-second workloads, and gates on
+//! *ratios measured in one process*, never on absolute nanoseconds: each
+//! simulator cell's min-of-trials ns/step divided by the min
+//! ns/iteration of a fixed calibration loop timed on either side of the
+//! cell, two ratios between normalized cells (metered ÷ plain, n = 21 ÷
+//! n = 5), and two floors between implementations of one interface
+//! (shared store ÷ sequential backend, slab ÷ legacy codec). A faster,
+//! slower or busier machine moves numerator and denominator together, so
+//! the limits below hold on any box; a real regression — say the hot
+//! loop reacquiring a per-step `Arc::make_mut` — moves only the
+//! numerator. Each simulator limit is about twice the ratio measured when
+//! it was set, the same deliberately loose tolerance the gate has always
+//! had, so shared CI runners don't flap.
 
 use shmem_algorithms::backend::{AbdBackend, LocalAbd};
 use shmem_algorithms::harness::{AbdCluster, ShardedAbdCluster};
@@ -61,10 +53,13 @@ const SHARD_LIMIT: f64 = 140.0;
 const METERED_OVER_PLAIN: f64 = 6.0;
 /// Limit on n = 21 ÷ n = 5, plain: a step must not grow with the cluster.
 const N21_OVER_N5: f64 = 2.0;
-/// Floor on striped store at 4 threads ÷ `LocalAbd` at 1, ops/s.
+/// Floor on striped store at 4 threads ÷ `LocalAbd` at 1, ops/s. Sharing
+/// costs a lock per call and buys back shallower trees (each stripe's
+/// `BTreeMap` holds 1/64 of the keyspace), so it holds on one core too.
 const STORE_T4_OVER_LOCAL_T1: f64 = 1.0;
 /// Floor on slab `Codec` ÷ legacy `ReedSolomon`, calls/s, RS[21,11] at
-/// 16 KiB, for encode and for decode.
+/// 16 KiB, for encode and for decode (the two are byte-identical:
+/// `crates/erasure/tests/slab_parity.rs`).
 const SLAB_OVER_LEGACY: f64 = 1.5;
 
 /// Min-of-trials ns per iteration of a fixed loop: small buffers of
@@ -197,41 +192,23 @@ const STORE_KEYSPACE: u64 = 4096;
 const STORE_OPS_PER_THREAD: usize = 200_000;
 const STORE_SEED: u64 = 42;
 
-/// The canonical mixed op against any ABD backend: tag-read + bump-write
-/// or plain read, 1:3 write:read.
-fn store_mixed_op<B: AbdBackend>(backend: &mut B, rng: &mut DetRng, me: u32, seq: u64) {
-    let key = rng.gen_range(0..STORE_KEYSPACE);
-    if rng.gen_bool(0.25) {
-        let cur = backend.load(key).map_or(Tag::ZERO, |(t, _)| t);
-        backend.store_if_newer(key, cur.successor(me), seq);
-    } else {
-        black_box(backend.load(key));
-    }
-}
-
-/// Ops/s of the sequential reference backend, single-threaded.
-fn local_mix_ops_per_s() -> f64 {
-    let mut backend = LocalAbd::new();
-    let mut rng = DetRng::seed_from_u64(STORE_SEED);
-    let start = Instant::now();
-    for seq in 0..STORE_OPS_PER_THREAD {
-        store_mixed_op(&mut backend, &mut rng, 0, seq as u64);
-    }
-    STORE_OPS_PER_THREAD as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Ops/s of the striped shared store at `threads` accessing threads
-/// (same per-thread op budget and mix as the sequential baseline).
-fn store_mix_ops_per_s(threads: u32) -> f64 {
-    let store = Arc::new(RegStore::new());
+/// Ops/s of `threads` threads, each driving its own handle from `make`
+/// through the canonical mix: tag-read + bump-write or plain read, 1:3.
+fn mix_ops_per_s<B: AbdBackend + Send>(threads: u32, make: impl Fn() -> B) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for t in 0..threads {
-            let mut backend = StoreAbdBackend::shared(&store);
-            let mut rng = DetRng::seed_from_u64(STORE_SEED ^ (u64::from(t) << 20));
+        for me in 0..threads {
+            let mut backend = make();
+            let mut rng = DetRng::seed_from_u64(STORE_SEED ^ (u64::from(me) << 20));
             scope.spawn(move || {
-                for seq in 0..STORE_OPS_PER_THREAD {
-                    store_mixed_op(&mut backend, &mut rng, t, seq as u64);
+                for seq in 0..STORE_OPS_PER_THREAD as u64 {
+                    let key = rng.gen_range(0..STORE_KEYSPACE);
+                    if rng.gen_bool(0.25) {
+                        let cur = backend.load(key).map_or(Tag::ZERO, |(t, _)| t);
+                        backend.store_if_newer(key, cur.successor(me), seq);
+                    } else {
+                        black_box(backend.load(key));
+                    }
                 }
             });
         }
@@ -244,8 +221,11 @@ fn store_mix_ops_per_s(threads: u32) -> f64 {
 /// loaded box would skew it either way.
 fn store_ratio() -> f64 {
     let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::NEG_INFINITY, f64::max);
-    let local = best(&local_mix_ops_per_s);
-    let store = best(&|| store_mix_ops_per_s(4));
+    let local = best(&|| mix_ops_per_s(1, LocalAbd::new));
+    let store = best(&|| {
+        let shared = Arc::new(RegStore::new());
+        mix_ops_per_s(4, || StoreAbdBackend::shared(&shared))
+    });
     println!("store mix: LocalAbd×1 {local:.0} ops/s, striped store×4 {store:.0} ops/s");
     store / local
 }

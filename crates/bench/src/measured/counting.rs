@@ -3,12 +3,13 @@
 
 use super::{abd_world, cas_f_for, cas_world};
 use crate::render::Table;
-use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
-use shmem_algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
+use shmem_algorithms::abd::{self, Abd};
+use shmem_algorithms::cas::{self, Cas};
 use shmem_algorithms::value::ValueSpec;
+use shmem_algorithms::{RegInv, RegResp};
 use shmem_core::counting::{pairwise_counting, singleton_counting};
-use shmem_core::multiwrite::{vector_counting, MultiWriteSetup};
-use shmem_sim::{ClientId, ServerId, Sim, SimConfig};
+use shmem_core::multiwrite::{vector_counting, MultiWriteSetup, VectorCountingReport};
+use shmem_sim::{ClientId, Protocol, Sim};
 
 /// E7: the counting-argument verification table — Theorem B.1's
 /// `v ↦ ~S^{(v)}` map and Theorem 4.1's `(v1,v2) ↦ ~S^{(v1,v2)}` map
@@ -27,65 +28,46 @@ pub fn constraint_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
         ],
     );
     let domain: Vec<u64> = (1..card).collect();
+    let spec = ValueSpec::from_cardinality(card);
+
+    /// Both maps against one algorithm: the singleton row, then the pairwise row.
+    fn rows<P, F>(t: &mut Table, name: &str, make: F, f: u32, domain: &[u64], seeds: u64)
+    where
+        P: Protocol<Inv = RegInv, Resp = RegResp>,
+        F: Fn() -> Sim<P> + Sync,
+        Sim<P>: Send + Sync,
+    {
+        let s = singleton_counting(&make, ClientId(0), f, domain);
+        t.push(vec![
+            name.into(),
+            "Thm B.1: v -> S(v)".into(),
+            domain.len().to_string(),
+            s.injective.to_string(),
+            format!("{:.2}", s.observed_bits()),
+            format!("{:.2}", s.required_bits()),
+            s.inequality_holds().to_string(),
+        ]);
+        let pw = pairwise_counting(&make, ClientId(0), ClientId(1), f, domain, false, seeds);
+        t.push(vec![
+            name.into(),
+            "Thm 4.1: (v1,v2) -> S".into(),
+            pw.pairs.to_string(),
+            pw.injective.to_string(),
+            format!("{:.2}", pw.observed_bits()),
+            format!("{:.2}", pw.required_bits()),
+            pw.inequality_holds().to_string(),
+        ]);
+    }
+    rows(&mut t, "ABD", || abd_world(n, 2, spec), f, &domain, seeds);
     let cas_f = cas_f_for(n, f);
-
-    let s = singleton_counting(|| abd_world(n, card), ClientId(0), f, &domain);
-    t.push(vec![
-        "ABD".into(),
-        "Thm B.1: v -> S(v)".into(),
-        domain.len().to_string(),
-        s.injective.to_string(),
-        format!("{:.2}", s.observed_bits()),
-        format!("{:.2}", s.required_bits()),
-        s.inequality_holds().to_string(),
-    ]);
-    let pw = pairwise_counting(
-        || abd_world(n, card),
-        ClientId(0),
-        ClientId(1),
-        f,
-        &domain,
-        false,
-        seeds,
-    );
-    t.push(vec![
-        "ABD".into(),
-        "Thm 4.1: (v1,v2) -> S".into(),
-        pw.pairs.to_string(),
-        pw.injective.to_string(),
-        format!("{:.2}", pw.observed_bits()),
-        format!("{:.2}", pw.required_bits()),
-        pw.inequality_holds().to_string(),
-    ]);
-
-    let sc = singleton_counting(|| cas_world(n, cas_f, card), ClientId(0), cas_f, &domain);
-    t.push(vec![
-        "CAS".into(),
-        "Thm B.1: v -> S(v)".into(),
-        domain.len().to_string(),
-        sc.injective.to_string(),
-        format!("{:.2}", sc.observed_bits()),
-        format!("{:.2}", sc.required_bits()),
-        sc.inequality_holds().to_string(),
-    ]);
-    let pwc = pairwise_counting(
-        || cas_world(n, cas_f, card),
-        ClientId(0),
-        ClientId(1),
+    rows(
+        &mut t,
+        "CAS",
+        || cas_world(n, cas_f, 2, spec),
         cas_f,
         &domain,
-        false,
         seeds,
     );
-    t.push(vec![
-        "CAS".into(),
-        "Thm 4.1: (v1,v2) -> S".into(),
-        pwc.pairs.to_string(),
-        pwc.injective.to_string(),
-        format!("{:.2}", pwc.observed_bits()),
-        format!("{:.2}", pwc.required_bits()),
-        pwc.inequality_holds().to_string(),
-    ]);
     t
 }
 
@@ -110,6 +92,7 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
         ],
     );
     let domain: Vec<u64> = (1..card).collect();
+    let spec = ValueSpec::from_cardinality(card);
     let cas_f = cas_f_for(n, f);
 
     let mut row = |name: &str, workers: usize, run: &dyn Fn(&ProbeEngine) -> bool| {
@@ -130,7 +113,7 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
         row("Thm 4.1 pairwise (ABD)", workers, &|engine| {
             pairwise_counting_with(
                 engine,
-                || abd_world(n, card),
+                || abd_world(n, 2, spec),
                 ClientId(0),
                 ClientId(1),
                 f,
@@ -143,7 +126,7 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
         row("Thm 4.1 pairwise (CAS)", workers, &|engine| {
             pairwise_counting_with(
                 engine,
-                || cas_world(n, cas_f, card),
+                || cas_world(n, cas_f, 2, spec),
                 ClientId(0),
                 ClientId(1),
                 cas_f,
@@ -159,14 +142,7 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
                 f: 2,
                 is_value_dependent: abd::is_value_dependent_upstream,
             };
-            let make = || {
-                let spec = ValueSpec::from_cardinality(card);
-                Sim::<Abd>::new(
-                    SimConfig::without_gossip(),
-                    (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-                    (0..3).map(|c| AbdClient::new(n, c)).collect(),
-                )
-            };
+            let make = || abd_world(n, 3, spec);
             vector_counting_with(engine, make, &setup, &domain, seeds).injective
         });
     }
@@ -181,54 +157,33 @@ pub fn multiwrite_table(card: u64, seeds: u64) -> Table {
         &["algorithm", "N", "f", "vectors", "injective", "failures"],
     );
     let domain: Vec<u64> = (1..card).collect();
+    let spec = ValueSpec::from_cardinality(card);
+    let mut push = |name: &str, f: u32, r: VectorCountingReport| {
+        t.push(vec![
+            name.into(),
+            "5".into(),
+            f.to_string(),
+            r.vectors.to_string(),
+            r.injective.to_string(),
+            r.failures.len().to_string(),
+        ]);
+    };
 
     let abd_setup = MultiWriteSetup::<Abd> {
         nu: 2,
         f: 2,
         is_value_dependent: abd::is_value_dependent_upstream,
     };
-    let abd_make = || {
-        let spec = ValueSpec::from_cardinality(card);
-        Sim::<Abd>::new(
-            SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..3).map(|c| AbdClient::new(5, c)).collect(),
-        )
-    };
-    let r = vector_counting(abd_make, &abd_setup, &domain, seeds);
-    t.push(vec![
-        "ABD".into(),
-        "5".into(),
-        "2".into(),
-        r.vectors.to_string(),
-        r.injective.to_string(),
-        r.failures.len().to_string(),
-    ]);
+    let r = vector_counting(|| abd_world(5, 3, spec), &abd_setup, &domain, seeds);
+    push("ABD", abd_setup.f, r);
 
     let cas_setup = MultiWriteSetup::<Cas> {
         nu: 2,
         f: 1,
         is_value_dependent: cas::is_value_dependent_upstream,
     };
-    let cas_make = || {
-        let cfg = CasConfig::native(5, 1, ValueSpec::from_cardinality(card));
-        Sim::<Cas>::new(
-            SimConfig::without_gossip(),
-            (0..5)
-                .map(|i| CasServer::new(cfg, ServerId(i), 0))
-                .collect(),
-            (0..3).map(|c| CasClient::new(cfg, c)).collect(),
-        )
-    };
-    let rc = vector_counting(cas_make, &cas_setup, &domain, seeds);
-    t.push(vec![
-        "CAS".into(),
-        "5".into(),
-        "1".into(),
-        rc.vectors.to_string(),
-        rc.injective.to_string(),
-        rc.failures.len().to_string(),
-    ]);
+    let r = vector_counting(|| cas_world(5, 1, 3, spec), &cas_setup, &domain, seeds);
+    push("CAS", cas_setup.f, r);
     t
 }
 

@@ -40,22 +40,23 @@ fn cas_f_for(n: u32, f: u32) -> u32 {
     }
 }
 
-fn abd_world(n: u32, card: u64) -> Sim<Abd> {
-    let spec = ValueSpec::from_cardinality(card);
+/// A gossip-free ABD world: `n` servers holding 0, `clients` clients.
+fn abd_world(n: u32, clients: u32, spec: ValueSpec) -> Sim<Abd> {
     Sim::new(
         SimConfig::without_gossip(),
         (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(n, c)).collect(),
+        (0..clients).map(|c| AbdClient::new(n, c)).collect(),
     )
 }
 
-fn cas_world(n: u32, f: u32, card: u64) -> Sim<Cas> {
-    let cfg = CasConfig::native(n, f, ValueSpec::from_cardinality(card));
+/// A gossip-free CAS world with the native `k = N − 2f` code.
+fn cas_world(n: u32, f: u32, clients: u32, spec: ValueSpec) -> Sim<Cas> {
+    let cfg = CasConfig::native(n, f, spec);
     Sim::new(
         SimConfig::without_gossip(),
         (0..n)
             .map(|i| CasServer::new(cfg, ServerId(i), 0))
             .collect(),
-        (0..2).map(|c| CasClient::new(cfg, c)).collect(),
+        (0..clients).map(|c| CasClient::new(cfg, c)).collect(),
     )
 }

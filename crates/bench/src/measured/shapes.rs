@@ -1,19 +1,41 @@
 //! Write-phase structure, workload shapes and per-operation traffic of every
 //! implemented algorithm (`tab-phases`, `tab-workloads`, `tab-traffic`).
 
+use super::{abd_world, cas_world};
 use crate::render::Table;
-use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
-use shmem_algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
+use shmem_algorithms::abd::{self, AbdClient};
+use shmem_algorithms::abd_gossip::{AbdGossip, GossipServer};
+use shmem_algorithms::cas::{self, CasConfig};
 use shmem_algorithms::harness::{AbdCluster, CasCluster};
+use shmem_algorithms::hashed::{self, HashedCas, HashedClient, HashedServer};
+use shmem_algorithms::swmr::swmr_world;
 use shmem_algorithms::value::ValueSpec;
 use shmem_sim::{ClientId, ServerId, Sim, SimConfig};
+
+/// The gossiping ABD world on N = 5.
+fn gossip_world(clients: u32, spec: ValueSpec) -> Sim<AbdGossip> {
+    Sim::new(
+        SimConfig::with_gossip(),
+        (0..5).map(|i| GossipServer::new(i, 5, 0, spec)).collect(),
+        (0..clients).map(|c| AbdClient::new(5, c)).collect(),
+    )
+}
+
+/// The hash-announcing CAS world on N = 5, f = 1.
+fn hashed_world(clients: u32, spec: ValueSpec) -> Sim<HashedCas> {
+    let cfg = CasConfig::native(5, 1, spec);
+    Sim::new(
+        SimConfig::without_gossip(),
+        (0..5)
+            .map(|i| HashedServer::new(cfg, ServerId(i), 0))
+            .collect(),
+        (0..clients).map(|c| HashedClient::new(cfg, c)).collect(),
+    )
+}
 
 /// The Section 6.1 assumption-structure table: write-phase profiles of
 /// every implemented algorithm, deciding Theorem 6.5 applicability.
 pub fn phases_table() -> Table {
-    use shmem_algorithms::abd_gossip::{AbdGossip, GossipServer};
-    use shmem_algorithms::hashed::{self, HashedCas, HashedClient, HashedServer};
-    use shmem_algorithms::swmr::{swmr_world, SwmrAbd};
     use shmem_core::assumptions::{write_phase_profile, PhaseProfile};
 
     let mut t = Table::new(
@@ -38,52 +60,31 @@ pub fn phases_table() -> Table {
         ]);
     };
 
-    let abd_sim: Sim<Abd> = Sim::new(
-        SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        vec![AbdClient::new(5, 0)],
-    );
+    let abd_sim = abd_world(5, 1, spec);
     push(
         "ABD (MWMR)",
         write_phase_profile(abd_sim, ClientId(0), 7, abd::is_value_dependent_upstream).unwrap(),
     );
 
-    let swmr_sim: Sim<SwmrAbd> = swmr_world(5, 1, spec);
+    let swmr_sim = swmr_world(5, 1, spec);
     push(
         "ABD (SWMR)",
         write_phase_profile(swmr_sim, ClientId(0), 7, abd::is_value_dependent_upstream).unwrap(),
     );
 
-    let gossip_sim: Sim<AbdGossip> = Sim::new(
-        SimConfig::with_gossip(),
-        (0..5).map(|i| GossipServer::new(i, 5, 0, spec)).collect(),
-        vec![AbdClient::new(5, 0)],
-    );
+    let gossip_sim = gossip_world(1, spec);
     push(
         "ABD (gossip)",
         write_phase_profile(gossip_sim, ClientId(0), 7, abd::is_value_dependent_upstream).unwrap(),
     );
 
-    let cfg = CasConfig::native(5, 1, spec);
-    let cas_sim: Sim<Cas> = Sim::new(
-        SimConfig::without_gossip(),
-        (0..5)
-            .map(|i| CasServer::new(cfg, ServerId(i), 0))
-            .collect(),
-        vec![CasClient::new(cfg, 0)],
-    );
+    let cas_sim = cas_world(5, 1, 1, spec);
     push(
         "CAS",
         write_phase_profile(cas_sim, ClientId(0), 7, cas::is_value_dependent_upstream).unwrap(),
     );
 
-    let hashed_sim: Sim<HashedCas> = Sim::new(
-        SimConfig::without_gossip(),
-        (0..5)
-            .map(|i| HashedServer::new(cfg, ServerId(i), 0))
-            .collect(),
-        vec![HashedClient::new(cfg, 0)],
-    );
+    let hashed_sim = hashed_world(1, spec);
     push(
         "Hashed CAS [2,15]",
         write_phase_profile(
@@ -100,7 +101,7 @@ pub fn phases_table() -> Table {
 /// Workload-shape table: measured `ν` and storage under the bursty, ramp
 /// and crash-prone workload generators.
 pub fn workloads_table(seed: u64) -> Table {
-    use shmem_algorithms::workloads::{run_bursty, run_crashy, run_ramp};
+    use shmem_algorithms::workloads::{run_bursty, run_crashy, run_ramp, WorkloadReport};
     let spec = ValueSpec::from_bits(64.0);
     let mut t = Table::new(
         "Workload shapes: measured nu and storage (N=5)",
@@ -113,64 +114,35 @@ pub fn workloads_table(seed: u64) -> Table {
             "total storage (normalized)",
         ],
     );
-    {
-        let mut c = AbdCluster::new(5, 2, 4, spec);
-        let r = run_bursty(&mut c, 3, 2, seed).expect("bursty abd");
+    let mut push = |workload: &str, algorithm: &str, r: WorkloadReport, peak_total_bits: f64| {
         t.push(vec![
-            "bursty(3x2)".into(),
-            "ABD".into(),
+            workload.into(),
+            algorithm.into(),
             r.invoked.to_string(),
             r.completed.to_string(),
             r.measured_nu.to_string(),
-            format!("{:.3}", c.storage().peak_total_bits / 64.0),
+            format!("{:.3}", peak_total_bits / 64.0),
         ]);
-    }
-    {
-        let mut c = CasCluster::new(5, 1, 4, spec);
-        let r = run_bursty(&mut c, 3, 2, seed).expect("bursty cas");
-        t.push(vec![
-            "bursty(3x2)".into(),
-            "CAS".into(),
-            r.invoked.to_string(),
-            r.completed.to_string(),
-            r.measured_nu.to_string(),
-            format!("{:.3}", c.storage().peak_total_bits / 64.0),
-        ]);
-    }
-    {
-        let mut c = CasCluster::new(5, 1, 4, spec);
-        let r = run_ramp(&mut c, 3, seed).expect("ramp cas");
-        t.push(vec![
-            "ramp(1..3)".into(),
-            "CAS".into(),
-            r.invoked.to_string(),
-            r.completed.to_string(),
-            r.measured_nu.to_string(),
-            format!("{:.3}", c.storage().peak_total_bits / 64.0),
-        ]);
-    }
-    {
-        let mut c = CasCluster::new(5, 1, 6, spec);
-        let r = run_crashy(&mut c, 3, 10, seed).expect("crashy cas");
-        t.push(vec![
-            "crashy(3 orphans)".into(),
-            "CAS".into(),
-            r.invoked.to_string(),
-            r.completed.to_string(),
-            r.measured_nu.to_string(),
-            format!("{:.3}", c.storage().peak_total_bits / 64.0),
-        ]);
-    }
+    };
+    let mut c = AbdCluster::new(5, 2, 4, spec);
+    let r = run_bursty(&mut c, 3, 2, seed).expect("bursty abd");
+    push("bursty(3x2)", "ABD", r, c.storage().peak_total_bits);
+    let mut c = CasCluster::new(5, 1, 4, spec);
+    let r = run_bursty(&mut c, 3, 2, seed).expect("bursty cas");
+    push("bursty(3x2)", "CAS", r, c.storage().peak_total_bits);
+    let mut c = CasCluster::new(5, 1, 4, spec);
+    let r = run_ramp(&mut c, 3, seed).expect("ramp cas");
+    push("ramp(1..3)", "CAS", r, c.storage().peak_total_bits);
+    let mut c = CasCluster::new(5, 1, 6, spec);
+    let r = run_crashy(&mut c, 3, 10, seed).expect("crashy cas");
+    push("crashy(3 orphans)", "CAS", r, c.storage().peak_total_bits);
     t
 }
 
 /// Communication-cost table: delivered messages per solo write and per
 /// solo read, by channel direction, for every implemented algorithm.
 pub fn traffic_table() -> Table {
-    use shmem_algorithms::abd_gossip::{AbdGossip, GossipServer};
-    use shmem_algorithms::hashed::{HashedCas, HashedClient, HashedServer};
     use shmem_algorithms::reg::RegInv;
-    use shmem_algorithms::swmr::{swmr_world, SwmrAbd};
     use shmem_sim::{Node, Protocol, TrafficCounters};
 
     let mut t = Table::new(
@@ -223,41 +195,11 @@ pub fn traffic_table() -> Table {
         }
     }
 
-    let mut abd: Sim<Abd> = Sim::new(
-        SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
-    );
-    rows(&mut t, "ABD (MWMR)", &mut abd);
-
-    let mut swmr: Sim<SwmrAbd> = swmr_world(5, 2, spec);
-    rows(&mut t, "ABD (SWMR)", &mut swmr);
-
-    let mut gossip: Sim<AbdGossip> = Sim::new(
-        SimConfig::with_gossip(),
-        (0..5).map(|i| GossipServer::new(i, 5, 0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
-    );
-    rows(&mut t, "ABD (gossip)", &mut gossip);
-
-    let cfg = CasConfig::native(5, 1, spec);
-    let mut cas: Sim<Cas> = Sim::new(
-        SimConfig::without_gossip(),
-        (0..5)
-            .map(|i| CasServer::new(cfg, ServerId(i), 0))
-            .collect(),
-        (0..2).map(|c| CasClient::new(cfg, c)).collect(),
-    );
-    rows(&mut t, "CAS", &mut cas);
-
-    let mut hashed: Sim<HashedCas> = Sim::new(
-        SimConfig::without_gossip(),
-        (0..5)
-            .map(|i| HashedServer::new(cfg, ServerId(i), 0))
-            .collect(),
-        (0..2).map(|c| HashedClient::new(cfg, c)).collect(),
-    );
-    rows(&mut t, "Hashed CAS", &mut hashed);
+    rows(&mut t, "ABD (MWMR)", &mut abd_world(5, 2, spec));
+    rows(&mut t, "ABD (SWMR)", &mut swmr_world(5, 2, spec));
+    rows(&mut t, "ABD (gossip)", &mut gossip_world(2, spec));
+    rows(&mut t, "CAS", &mut cas_world(5, 1, 2, spec));
+    rows(&mut t, "Hashed CAS", &mut hashed_world(2, spec));
     t
 }
 

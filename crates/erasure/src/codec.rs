@@ -11,8 +11,8 @@
 //!   pattern instead of once per call (sorting makes the key order-
 //!   insensitive: the decoded payload is the unique solution of the
 //!   linear system, independent of share supply order);
-//! * hit/miss counters surfaced as [`CodecStats`] (the `tab-codec`
-//!   figure records the hit rate);
+//! * hit/miss counters surfaced as [`CodecStats`] (the ledger's
+//!   `erasure.plan_hit_rate` cell records the hit rate);
 //! * a process-wide registry, [`Codec::shared`], memoizing handles by
 //!   `(field, n, k)` so callers like `cas.rs` stop rebuilding codecs per
 //!   operation.

@@ -147,7 +147,7 @@ fn edge_lengths_match_legacy_both_fields() {
 #[test]
 fn paper_geometry_large_payload_parallel_parity() {
     // The paper's [21, 11] geometry at a payload big enough to cross
-    // several parallel chunks — the configuration tab-codec measures.
+    // several parallel chunks.
     let data = payload(512 * 1024, 42);
     assert_parity::<Gf256>(21, 11, &data, 42);
 }

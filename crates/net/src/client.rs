@@ -68,7 +68,8 @@ impl Default for LoadConfig {
 }
 
 impl LoadConfig {
-    /// Splits `0..clients` into `workers` contiguous blocks.
+    /// Deals `0..clients` round-robin over `workers` blocks (client `c`
+    /// goes to block `c % workers`); empty blocks are dropped.
     pub fn client_blocks(&self) -> Vec<Vec<ClientId>> {
         let workers = self.workers.max(1);
         let mut blocks: Vec<Vec<ClientId>> = vec![Vec::new(); workers];
@@ -183,7 +184,7 @@ where
         while budget > 0 {
             match transport.recv_timeout(wait) {
                 Ok(Some(env)) => {
-                    on_envelope::<P, T>(&mut slots, env, cfg, &mut transport, epoch, &mut report);
+                    on_envelope::<P, T>(&mut slots, env, &mut transport, epoch, &mut report);
                     wait = Duration::ZERO;
                     budget -= 1;
                 }
@@ -282,7 +283,6 @@ fn start_op<P, T>(
 fn on_envelope<P, T>(
     slots: &mut [Slot<P>],
     env: Envelope,
-    _cfg: &LoadConfig,
     transport: &mut T,
     epoch: Instant,
     report: &mut WorkerReport,

@@ -3,7 +3,7 @@
 //!
 //! [`NetCluster`] is the generic machinery (start/kill/restart servers,
 //! spawn a load, sever connections); [`NetScenario`] is the convenient
-//! front door the tests and the `tab-net` bench use — pick an algorithm,
+//! front door the tests and the `tab-net` table use — pick an algorithm,
 //! a backend, and a [`LoadConfig`], get a [`NetOutcome`] whose histories
 //! feed the same `shmem-spec` checkers the simulator uses.
 

@@ -34,14 +34,20 @@ cargo test --release -q -p shmem-net --test wire_roundtrip --test transport_faul
 echo "==> corrupt gate: 1000-seed acceptance sweep + cross-world differential (release)"
 cargo test --release -q --test corrupt_sweep --test corrupt_differential
 
-echo "==> store gate: linearizability stress + differential + throughput floor/storage (release)"
+echo "==> store gate: linearizability stress + differential + storage frontier (release)"
 cargo test --release -q -p shmem-store
 cargo test --release -q -p shmem-bench --test store_gate
 
 echo "==> ledger gate: the benchmark crate builds and passes against the workspace's public API (release)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> perf smoke: step throughput as same-run ratios to a calibration loop (release)"
+echo "==> one clock: only perf_smoke may time anything under crates/bench/src"
+if grep -rln "Instant" crates/bench/src | grep -v '^crates/bench/src/bin/perf_smoke\.rs$'; then
+  echo "the files above read a clock; timing belongs to perf_smoke or the ledger" >&2
+  exit 1
+fi
+
+echo "==> perf smoke: same-run ratios — sim steps ÷ calibration, store floor, codec floor (release)"
 cargo run --release -q -p shmem-bench --bin perf_smoke
 
 echo "==> cargo bench --no-run"
