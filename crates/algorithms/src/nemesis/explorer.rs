@@ -289,11 +289,11 @@ where
 /// Runs seeds `0..seeds` against fresh clusters and merges every run's
 /// metrics registry into one aggregate.
 ///
-/// Deterministic across worker counts: workers claim seeds from a shared
-/// counter and write each run's registry into its seed's index-addressed
-/// slot; the merge then folds the slots in seed order. Histogram and
-/// ledger merges are associative and commutative besides, so this is
-/// invariant twice over — one worker and sixteen produce byte-identical
+/// Deterministic across worker counts: [`shmem_util::par::map_indexed`]
+/// returns the runs' registries in seed order and the merge folds them in
+/// that order. Histogram and ledger merges are associative and
+/// commutative besides, so this is invariant twice over — one worker and
+/// sixteen produce byte-identical
 /// [`shmem_sim::MetricsRegistry::to_json`] exports.
 pub fn aggregate_metrics<P, F>(
     factory: &F,
@@ -304,44 +304,15 @@ where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
     F: Fn() -> Cluster<P> + Sync,
 {
-    let run_one = |seed: u64| {
+    let per_seed = shmem_util::par::map_indexed(workers, seeds as usize, |seed| {
+        let seed = seed as u64;
         let mut cluster = factory();
         let plan = plan_for_seed(seed, observe_shape(&cluster));
         run_plan(&mut cluster, seed, &plan).metrics
-    };
-    let workers = workers.max(1).min(seeds.max(1) as usize);
-    let per_seed: Vec<Option<shmem_sim::MetricsRegistry>> = if workers == 1 {
-        (0..seeds).map(|seed| Some(run_one(seed))).collect()
-    } else {
-        let mut slots: Vec<Option<shmem_sim::MetricsRegistry>> = vec![None; seeds as usize];
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local: Vec<(usize, shmem_sim::MetricsRegistry)> = Vec::new();
-                        loop {
-                            let seed = next.fetch_add(1, Ordering::Relaxed);
-                            if seed as u64 >= seeds {
-                                break;
-                            }
-                            local.push((seed, run_one(seed as u64)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (idx, m) in h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)) {
-                    slots[idx] = Some(m);
-                }
-            }
-        });
-        slots
-    };
+    });
     let mut total = shmem_sim::MetricsRegistry::new(shmem_sim::MetricsLevel::Full, 0);
-    for m in per_seed.into_iter().flatten() {
-        total.merge(&m);
+    for m in &per_seed {
+        total.merge(m);
     }
     total
 }

@@ -46,7 +46,6 @@ use crate::reg::{RegInv, RegResp};
 use shmem_sim::{CoverageMap, MetricsRegistry, Protocol};
 use shmem_util::json::Json;
 use shmem_util::DetRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of one fuzzing campaign.
 #[derive(Clone, Copy, Debug)]
@@ -395,9 +394,8 @@ fn propose(
     out
 }
 
-/// Executes `candidates` and returns results index-aligned with them.
-/// Workers claim indices from a shared counter; a single worker just runs
-/// them in order.
+/// Executes `candidates` and returns results index-aligned with them,
+/// whatever the worker count.
 fn execute<P, F>(
     factory: &F,
     oracle: Oracle,
@@ -408,41 +406,9 @@ where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
     F: Fn() -> Cluster<P> + Sync,
 {
-    let workers = workers.max(1).min(candidates.len().max(1));
-    if workers == 1 {
-        return candidates
-            .iter()
-            .map(|c| run_candidate(factory, oracle, c))
-            .collect();
-    }
-    let mut slots: Vec<Option<RunResult>> = vec![None; candidates.len()];
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, RunResult)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= candidates.len() {
-                            break;
-                        }
-                        local.push((idx, run_candidate(factory, oracle, &candidates[idx])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (idx, r) in h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)) {
-                slots[idx] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index was claimed exactly once"))
-        .collect()
+    shmem_util::par::map_indexed(workers, candidates.len(), |i| {
+        run_candidate(factory, oracle, &candidates[i])
+    })
 }
 
 /// Runs a coverage-guided fuzzing campaign against clusters from

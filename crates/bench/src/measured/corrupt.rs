@@ -29,7 +29,6 @@ pub fn corrupt_table(seeds: u64, workers: usize) -> Table {
     use shmem_algorithms::harness::{Cluster, HashedCluster};
     use shmem_algorithms::nemesis::{corrupt_plan_for_seed, observe_shape, run_plan, Oracle};
     use shmem_algorithms::{RegInv, RegResp};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[derive(Clone, Copy, Default)]
     struct Tally {
@@ -40,15 +39,15 @@ pub fn corrupt_table(seeds: u64, workers: usize) -> Table {
         peak_meta_bits: f64,
     }
 
-    /// Workers claim seeds from a shared counter; every per-seed field is
-    /// a sum (commutative, associative — the `f64` peak is summed in seed
-    /// order), so the tally is worker-count invariant.
+    /// Every per-seed field is a sum, folded in seed order (which matters
+    /// for the `f64` peaks), so the tally is worker-count invariant.
     fn sweep_tally<P, F>(factory: &F, seeds: u64, workers: usize) -> Tally
     where
         P: shmem_sim::Protocol<Inv = RegInv, Resp = RegResp>,
         F: Fn() -> Cluster<P> + Sync,
     {
-        let run_one = |seed: u64| {
+        shmem_util::par::map_indexed(workers, seeds as usize, |seed| {
+            let seed = seed as u64;
             let mut cluster = factory();
             let plan = corrupt_plan_for_seed(seed, observe_shape(&cluster));
             let run = run_plan(&mut cluster, seed, &plan);
@@ -60,45 +59,15 @@ pub fn corrupt_table(seeds: u64, workers: usize) -> Table {
                 peak_bits: run.storage.peak_total_bits,
                 peak_meta_bits: run.storage.peak_total_metadata_bits,
             }
-        };
-        let workers = workers.max(1).min(seeds.max(1) as usize);
-        let mut per_seed: Vec<(u64, Tally)> = if workers == 1 {
-            (0..seeds).map(|s| (s, run_one(s))).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let seed = next.fetch_add(1, Ordering::Relaxed) as u64;
-                                if seed >= seeds {
-                                    break;
-                                }
-                                local.push((seed, run_one(seed)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            })
-        };
-        per_seed.sort_by_key(|(seed, _)| *seed);
-        per_seed
-            .into_iter()
-            .map(|(_, tally)| tally)
-            .fold(Tally::default(), |a, b| Tally {
-                violations: a.violations + b.violations,
-                detected_runs: a.detected_runs + b.detected_runs,
-                detections: a.detections + b.detections,
-                peak_bits: a.peak_bits + b.peak_bits,
-                peak_meta_bits: a.peak_meta_bits + b.peak_meta_bits,
-            })
+        })
+        .into_iter()
+        .fold(Tally::default(), |a, b| Tally {
+            violations: a.violations + b.violations,
+            detected_runs: a.detected_runs + b.detected_runs,
+            detections: a.detections + b.detections,
+            peak_bits: a.peak_bits + b.peak_bits,
+            peak_meta_bits: a.peak_meta_bits + b.peak_meta_bits,
+        })
     }
 
     let spec = ValueSpec::from_bits(64.0);

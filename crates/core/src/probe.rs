@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use shmem_algorithms::value::Value;
@@ -190,50 +190,16 @@ impl ProbeEngine {
     /// Runs `job(0) … job(jobs − 1)` and returns their results *in job
     /// order*.
     ///
-    /// With 1 worker the jobs run inline, in order, on the calling thread.
-    /// With more, scoped worker threads pull indices from a shared counter
-    /// and results are merged into their index slot, so the output (and
-    /// therefore every verdict derived from it) is independent of thread
-    /// scheduling. A panicking job propagates its panic to the caller.
+    /// [`shmem_util::par::map_indexed`] over this engine's workers: the
+    /// output (and therefore every verdict derived from it) is independent
+    /// of thread scheduling, and a panicking job propagates its panic to
+    /// the caller.
     pub fn map<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.workers.get().min(jobs);
-        if workers <= 1 {
-            return (0..jobs).map(job).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs {
-                                break;
-                            }
-                            local.push((i, job(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        for (i, value) in parts.into_iter().flatten() {
-            slots[i] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job index was claimed exactly once"))
-            .collect()
+        shmem_util::par::map_indexed(self.workers.get(), jobs, job)
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::client::{run_worker, LoadConfig, WorkerReport};
 use crate::corrupt::{CorruptingTransport, NetCorruption};
 use crate::error::NetError;
-use crate::serve::{serve_shared, serve_until};
+use crate::serve::serve_until;
 use crate::tcp::{addr_table, AddrTable, PoolFaults, TcpClientTransport, TcpServerTransport};
 use crate::transport::InProcHub;
 use crate::wire::WireMsg;
@@ -99,16 +99,15 @@ impl BackendState {
 }
 
 /// A live server incarnation: its stop flag and its thread, which
-/// returns the worker pool.
-type Incarnation<S> = (Arc<AtomicBool>, JoinHandle<Vec<S>>);
+/// returns the automaton.
+type Incarnation<S> = (Arc<AtomicBool>, JoinHandle<S>);
 
 struct ServerSlot<P: Protocol> {
     running: Option<Incarnation<P::Server>>,
-    /// The worker pool of a killed server, retained for restart (the
+    /// The automaton of a killed server, retained for restart (the
     /// durable-storage crash model: state survives, volatile connections
-    /// do not). Legacy single-threaded servers are a pool of one; a
-    /// concurrent server's workers share one striped store.
-    parked: Option<Vec<P::Server>>,
+    /// do not).
+    parked: Option<P::Server>,
 }
 
 /// A running cluster of server event loops over one backend.
@@ -192,33 +191,21 @@ where
     P::Server: Send + 'static,
     P::Client: Send + 'static,
 {
-    /// Starts one single-threaded event loop ([`serve_until`]) per
-    /// automaton over `backend`.
+    /// Starts one event loop ([`serve_until`]) per automaton over
+    /// `backend`, each on its own thread.
     pub fn start(backend: NetBackend, automata: Vec<P::Server>) -> NetCluster<P> {
-        let pools = automata.into_iter().map(|a| vec![a]).collect();
-        NetCluster::start_pooled(backend, pools)
+        NetCluster::over(BackendState::fresh(backend), automata, None)
     }
 
-    /// Starts one server per *pool* of worker automata over `backend`.
-    ///
-    /// A pool of one runs the classic single-threaded event loop
-    /// ([`serve_until`]); a larger pool runs [`serve_shared`], one worker
-    /// thread per automaton. Pooled workers only make sense when their
-    /// automata share state through a concurrent backend (`shmem-store`)
-    /// — the harness cannot check that, so it is the caller's contract.
-    pub fn start_pooled(backend: NetBackend, pools: Vec<Vec<P::Server>>) -> NetCluster<P> {
-        NetCluster::over(BackendState::fresh(backend), pools, None)
-    }
-
-    /// The one constructor: `pools` launched over `backend`, every server
-    /// listed in `corrupt` sending its frames through an armed
+    /// The one constructor: `automata` launched over `backend`, every
+    /// server listed in `corrupt` sending its frames through an armed
     /// [`CorruptingTransport`] that tampers value-bearing payloads
     /// deterministically in the policy's salt. Honest servers (and every
     /// server when `corrupt` is `None`) behave byte-identically to an
     /// unwrapped cluster.
     fn over(
         backend: BackendState,
-        pools: Vec<Vec<P::Server>>,
+        automata: Vec<P::Server>,
         corrupt: Option<NetCorruption>,
     ) -> NetCluster<P> {
         let mut cluster = NetCluster {
@@ -227,19 +214,20 @@ where
             epoch: Instant::now(),
             corrupt,
         };
-        for (i, pool) in pools.into_iter().enumerate() {
+        for (i, automaton) in automata.into_iter().enumerate() {
             cluster.servers.push(ServerSlot {
                 running: None,
-                parked: Some(pool),
+                parked: Some(automaton),
             });
             cluster.launch(i);
         }
         cluster
     }
 
-    /// (Re)launches server `i` from its parked worker pool.
+    /// (Re)launches server `i` from its parked automaton: one
+    /// [`serve_until`] thread over a fresh transport.
     fn launch(&mut self, i: usize) {
-        let pool = self.servers[i]
+        let automaton = self.servers[i]
             .parked
             .take()
             .expect("server automaton not parked");
@@ -256,7 +244,8 @@ where
         let join = match &self.backend {
             BackendState::InProc(hub) => {
                 let ep = hub.endpoint(&[NodeId::Server(me)]);
-                thread::spawn(move || run_pool::<P, _>(pool, me, ep, salt, stop))
+                let ep = CorruptingTransport::<_, P>::new(ep, salt);
+                thread::spawn(move || serve_until::<P, _>(automaton, me, ep, stop).0)
             }
             BackendState::Tcp(table) => {
                 let transport = TcpServerTransport::bind("127.0.0.1:0".parse().unwrap())
@@ -271,7 +260,8 @@ where
                 // incarnation.
                 t[i] = addr;
                 drop(t);
-                thread::spawn(move || run_pool::<P, _>(pool, me, transport, salt, stop))
+                let transport = CorruptingTransport::<_, P>::new(transport, salt);
+                thread::spawn(move || serve_until::<P, _>(automaton, me, transport, stop).0)
             }
         };
         self.servers[i].running = Some((flag, join));
@@ -344,23 +334,15 @@ where
         }
     }
 
-    /// Stops every server and returns one automaton per server (for
-    /// storage probes). For pooled servers this is a *representative*
-    /// worker: its backend shares the pool's store, so probing it sees
-    /// the server's full state exactly once.
+    /// Stops every server and returns each server's automaton (for
+    /// storage probes).
     pub fn shutdown(mut self) -> Vec<P::Server> {
         for i in 0..self.servers.len() {
             self.kill_server(i);
         }
         self.servers
             .into_iter()
-            .map(|s| {
-                s.parked
-                    .expect("automaton parked at shutdown")
-                    .into_iter()
-                    .next()
-                    .expect("nonempty server pool")
-            })
+            .map(|s| s.parked.expect("automaton parked at shutdown"))
             .collect()
     }
 }
@@ -395,31 +377,6 @@ impl LoadHandle {
         }
         report.wall = self.started.elapsed();
         report
-    }
-}
-
-/// One server incarnation over `transport` — armed with `salt` if the
-/// server is Byzantine: the single-threaded event loop for a pool of
-/// one, the shared-store worker pool otherwise. Returns the pool.
-fn run_pool<P, T>(
-    mut pool: Vec<P::Server>,
-    me: ServerId,
-    transport: T,
-    salt: Option<u64>,
-    stop: Arc<AtomicBool>,
-) -> Vec<P::Server>
-where
-    P: Protocol,
-    P::Msg: WireMsg,
-    P::Server: Send,
-    T: crate::transport::Transport,
-{
-    let transport = CorruptingTransport::<_, P>::new(transport, salt);
-    if pool.len() == 1 {
-        let automaton = pool.pop().expect("pool of one");
-        vec![serve_until::<P, _>(automaton, me, transport, stop).0]
-    } else {
-        serve_shared::<P, _>(pool, me, transport, stop).0
     }
 }
 
@@ -543,9 +500,9 @@ impl NetScenario {
         P::Server: Send + 'static,
         P::Client: Send + 'static,
     {
-        let pools = (0..self.n).map(|i| vec![server(i)]).collect();
+        let automata = (0..self.n).map(server).collect();
         let backend = BackendState::fresh(self.backend);
-        let cluster = NetCluster::<P>::over(backend, pools, self.corrupt.clone());
+        let cluster = NetCluster::<P>::over(backend, automata, self.corrupt.clone());
         let report = cluster.spawn_load(&self.load, client).join();
         thread::sleep(self.drain);
         let automata = cluster.shutdown();

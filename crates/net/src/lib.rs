@@ -47,7 +47,7 @@ pub use harness::{
     run_remote, serve_forever, LoadHandle, NetAlgorithm, NetBackend, NetCluster, NetOutcome,
     NetRunReport, NetScenario,
 };
-pub use serve::{serve_shared, serve_until, ServeStats};
+pub use serve::{serve_until, ServeStats};
 pub use tcp::{addr_table, AddrTable, PoolFaults, TcpClientTransport, TcpServerTransport};
 pub use transport::{InProcHub, Transport};
 pub use wire::{WireMsg, WireReader, WireWriter};

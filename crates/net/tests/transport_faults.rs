@@ -8,25 +8,18 @@
 //! [`shmem_net::NetScenario`] because fault injection needs the cluster
 //! handle while the load is in flight.
 
-use shmem_algorithms::abd::{ShardedAbd, ShardedAbdClient, ShardedAbdServer, ShardedAbdServerOn};
-use shmem_algorithms::cas::{
-    ShardedCas, ShardedCasClient, ShardedCasConfig, ShardedCasServer, ShardedCasServerOn,
-};
-use shmem_algorithms::multikey::{project_histories, MultiInv, MultiResp, ShardMap};
+use shmem_algorithms::abd::{ShardedAbd, ShardedAbdClient, ShardedAbdServer};
+use shmem_algorithms::cas::{ShardedCas, ShardedCasClient, ShardedCasConfig, ShardedCasServer};
+use shmem_algorithms::multikey::{project_histories, ShardMap};
 use shmem_algorithms::value::ValueSpec;
-use shmem_net::wire::WireMsg;
 use shmem_net::{LoadConfig, NetBackend, NetCluster};
-use shmem_sim::{ClientId, Protocol, ServerId};
+use shmem_sim::ServerId;
 use shmem_spec::check_atomic;
-use shmem_store::{RegStore, StoreAbdBackend, StoreCasBackend};
-use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 const N: u32 = 5;
 const F: u32 = 1;
-/// Worker threads per concurrent (shared-store) server.
-const WORKERS: usize = 3;
 
 fn load(clients: u32, ops: usize) -> LoadConfig {
     LoadConfig {
@@ -57,40 +50,6 @@ fn cas_cluster(backend: NetBackend) -> (NetCluster<ShardedCas>, ShardedCasConfig
     (NetCluster::start(backend, servers), cfg)
 }
 
-/// The concurrent sibling of [`abd_cluster`]: every server is a pool of
-/// [`WORKERS`] automata sharing one striped [`RegStore`].
-fn store_abd_cluster(backend: NetBackend) -> NetCluster<ShardedAbd<StoreAbdBackend>> {
-    let spec = ValueSpec::from_bits(64.0);
-    let pools = (0..N)
-        .map(|_| {
-            let store = Arc::new(RegStore::new());
-            (0..WORKERS)
-                .map(|_| ShardedAbdServerOn::with_backend(0, spec, StoreAbdBackend::shared(&store)))
-                .collect()
-        })
-        .collect();
-    NetCluster::start_pooled(backend, pools)
-}
-
-/// The concurrent sibling of [`cas_cluster`]: pooled workers over one
-/// shared coded store per server.
-fn store_cas_cluster(
-    backend: NetBackend,
-) -> (NetCluster<ShardedCas<StoreCasBackend>>, ShardedCasConfig) {
-    let cfg = ShardedCasConfig::native(ShardMap::full(N), F, ValueSpec::from_bits(64.0));
-    let pools = (0..N)
-        .map(|i| {
-            let backend = StoreCasBackend::new(cfg.clone(), i, 0);
-            (0..WORKERS)
-                .map(|_| {
-                    ShardedCasServerOn::with_backend(cfg.clone(), ServerId(i), backend.clone())
-                })
-                .collect()
-        })
-        .collect();
-    (NetCluster::start_pooled(backend, pools), cfg)
-}
-
 fn assert_all_atomic(
     records: &[shmem_sim::OpRecord<
         shmem_algorithms::multikey::MultiInv,
@@ -106,24 +65,15 @@ fn assert_all_atomic(
     }
 }
 
-/// The kill/restart cell, parameterized over the server implementation:
-/// killing one server (within `f = 1`) and restarting it mid-load must
+/// Killing one server (within `f = 1`) and restarting it mid-load must
 /// be invisible to correctness — every operation completes against the
 /// surviving quorum, the restarted server rejoins on a fresh port with
-/// its durable state, and every per-key history stays atomic. Legacy
-/// single-threaded servers and pooled shared-store servers run the
-/// *same* cell.
-fn kill_restart_cell<P>(
-    mut cluster: NetCluster<P>,
-    make_client: impl Fn(ClientId) -> P::Client + Send + Sync + 'static,
-) where
-    P: Protocol<Inv = MultiInv, Resp = MultiResp>,
-    P::Msg: WireMsg,
-    P::Server: Send + 'static,
-    P::Client: Send + 'static,
-{
+/// its durable state, and every per-key history stays atomic.
+#[test]
+fn tcp_load_survives_server_kill_and_restart() {
+    let (mut cluster, cfg) = cas_cluster(NetBackend::Tcp);
     let lc = load(12, 80);
-    let handle = cluster.spawn_load(&lc, make_client);
+    let handle = cluster.spawn_load(&lc, move |id| ShardedCasClient::new(cfg.clone(), id.0));
 
     thread::sleep(Duration::from_millis(20));
     cluster.kill_server(0);
@@ -143,18 +93,10 @@ fn kill_restart_cell<P>(
 /// The permanent-crash cell: a server killed at `kill` and never
 /// restarted is exactly the `f = 1` crash the algorithms are proved
 /// against — the load finishes against the survivors.
-fn permanent_crash_cell<P>(
-    mut cluster: NetCluster<P>,
-    kill: usize,
-    make_client: impl Fn(ClientId) -> P::Client + Send + Sync + 'static,
-) where
-    P: Protocol<Inv = MultiInv, Resp = MultiResp>,
-    P::Msg: WireMsg,
-    P::Server: Send + 'static,
-    P::Client: Send + 'static,
-{
+fn permanent_crash_cell(mut cluster: NetCluster<ShardedAbd>, kill: usize) {
     let lc = load(10, 60);
-    let handle = cluster.spawn_load(&lc, make_client);
+    let map = ShardMap::full(N);
+    let handle = cluster.spawn_load(&lc, move |id| ShardedAbdClient::new(map, id.0));
 
     thread::sleep(Duration::from_millis(20));
     cluster.kill_server(kill);
@@ -170,38 +112,8 @@ fn permanent_crash_cell<P>(
 }
 
 #[test]
-fn tcp_load_survives_server_kill_and_restart() {
-    let (cluster, cfg) = cas_cluster(NetBackend::Tcp);
-    kill_restart_cell(cluster, move |id| ShardedCasClient::new(cfg.clone(), id.0));
-}
-
-/// The same kill/restart cell against pooled shared-store CAS servers:
-/// the worker pool dies and restarts as a unit, its shared store
-/// carried across the restart by the parked worker automata.
-#[test]
-fn tcp_load_survives_concurrent_server_kill_and_restart() {
-    let (cluster, cfg) = store_cas_cluster(NetBackend::Tcp);
-    kill_restart_cell(cluster, move |id| ShardedCasClient::new(cfg.clone(), id.0));
-}
-
-#[test]
 fn tcp_load_tolerates_permanent_server_crash() {
-    let cluster = abd_cluster(NetBackend::Tcp);
-    let map = ShardMap::full(N);
-    permanent_crash_cell(cluster, N as usize - 1, move |id| {
-        ShardedAbdClient::new(map, id.0)
-    });
-}
-
-/// The same permanent-crash cell against pooled shared-store ABD
-/// servers.
-#[test]
-fn tcp_load_tolerates_concurrent_permanent_server_crash() {
-    let cluster = store_abd_cluster(NetBackend::Tcp);
-    let map = ShardMap::full(N);
-    permanent_crash_cell(cluster, N as usize - 1, move |id| {
-        ShardedAbdClient::new(map, id.0)
-    });
+    permanent_crash_cell(abd_cluster(NetBackend::Tcp), N as usize - 1);
 }
 
 /// Severing every pooled connection mid-load forces the reconnect path:
@@ -278,15 +190,5 @@ fn quorum_starvation_retires_cleanly_without_violation() {
 /// load. Guards against the fault tolerance being a TCP-only accident.
 #[test]
 fn inproc_load_tolerates_dropped_server_route() {
-    let cluster = abd_cluster(NetBackend::InProc);
-    let map = ShardMap::full(N);
-    permanent_crash_cell(cluster, 2, move |id| ShardedAbdClient::new(map, id.0));
-}
-
-/// In-process route drop against pooled shared-store servers.
-#[test]
-fn inproc_load_tolerates_concurrent_dropped_server_route() {
-    let cluster = store_abd_cluster(NetBackend::InProc);
-    let map = ShardMap::full(N);
-    permanent_crash_cell(cluster, 2, move |id| ShardedAbdClient::new(map, id.0));
+    permanent_crash_cell(abd_cluster(NetBackend::InProc), 2);
 }

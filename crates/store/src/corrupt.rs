@@ -1,12 +1,12 @@
 //! [`CorruptingBackend`]: the corruption adversary at the store seam.
 //!
-//! A pooled server is several worker automata over one shared store, so
-//! tampering the stored state in place (what the sim-level adversary does
-//! through `AbdBackend::corrupt` / `CasBackend::corrupt`, which this
-//! decorator leaves refusing) would reach under every worker's feet at an
-//! instant no schedule names, and would make the stored state — and with
-//! it every digest the differential suites compare — depend on when the
-//! adversary struck. So the pooled-server adversary sits where a
+//! A shared store may have several handles on it, so tampering the
+//! stored state in place (what the sim-level adversary does through
+//! `AbdBackend::corrupt` / `CasBackend::corrupt`, which this decorator
+//! leaves refusing) would reach under every holder's feet at an instant
+//! no schedule names, and would make the stored state — and with it
+//! every digest the differential suites compare — depend on when the
+//! adversary struck. So the store-seam adversary sits where a
 //! Byzantine server actually sits: on the *serving* path. The decorator
 //! wraps any backend and, while armed, tampers every coded share it hands
 //! to readers (`read_get`) and every replicated value it loads for a

@@ -2,11 +2,15 @@
 //! a striped lock over the sequential reference backends.
 //!
 //! The sequential emulation servers keep their per-key state in a private
-//! `LocalAbd` / `LocalCas` / `LocalHashed`; this crate lets a pool of
-//! worker threads serve one server's state by partitioning its keys over
-//! a fixed array of those same backends, each behind a mutex
+//! `LocalAbd` / `LocalCas` / `LocalHashed`; this crate lets several
+//! threads share one server's state by partitioning its keys over a
+//! fixed array of those same backends, each behind a mutex
 //! ([`striped::Striped`]). There is no second copy of any transition:
-//! every call locks the key's stripe and delegates.
+//! every call locks the key's stripe and delegates. The net layer serves
+//! one automaton per server on one thread (its worker-pool loop was
+//! measured below the single loop and deleted, DESIGN §4.11), so today
+//! the sharing is exercised by this crate's own suites, `perf_smoke`'s
+//! floor and the ledger's `store.*` cells.
 //!
 //! Correctness is *checked, not argued*: every concurrent test path
 //! records invoke/response intervals through [`log::ThreadLog`] and the

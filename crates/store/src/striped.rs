@@ -111,7 +111,7 @@ impl Default for RegStore {
 /// the same store. Implements whichever backend traits `B` does, so it
 /// plugs into `ShardedAbdServerOn` / `ShardedCasServerOn` /
 /// `ShardedHashedServerOn` and the unchanged automata run against state
-/// shared by a pool of worker threads.
+/// that other threads' handles share.
 pub struct Handle<B>(Arc<Striped<B>>);
 
 /// [`AbdBackend`] over a shared [`RegStore`].

@@ -7,6 +7,8 @@
 //!   SplitMix64) used for seeded adversarial schedules and randomized
 //!   tests. Determinism across platforms and runs is a hard requirement for
 //!   the proof machinery (probe verdicts are memoized by digest).
+//! * [`par`] — the deterministic indexed fan-out every worker-count
+//!   invariant sweep runs on ([`par::map_indexed`]).
 //! * [`prop`] — a miniature property-testing harness with a
 //!   `proptest!`-compatible macro surface (strategies over ranges, vectors,
 //!   tuples, `prop_map`/`prop_flat_map`, `Just`, weighted booleans).
@@ -27,6 +29,7 @@
 pub mod bench;
 pub mod cli;
 pub mod json;
+pub mod par;
 pub mod prop;
 pub mod rng;
 pub mod shrink;

@@ -31,6 +31,16 @@ echo "==> net gate: TCP/in-proc differential + wire properties + fault soup (rel
 cargo test --release -q --test net_differential
 cargo test --release -q -p shmem-net --test wire_roundtrip --test transport_faults
 
+echo "==> one serve loop: a server is one automaton on one thread"
+if sed '/#\[cfg(test)\]/,$d' crates/net/src/serve.rs | grep -n "thread::\|Condvar\|mpsc"; then
+  echo "crates/net/src/serve.rs names a thread or a queue; serve_until is the one loop" >&2
+  exit 1
+fi
+if grep -rn "serve_shared\|start_pooled" crates tests examples; then
+  echo "the pooled serving path was measured and deleted (DESIGN §4.11); do not bring it back" >&2
+  exit 1
+fi
+
 echo "==> corrupt gate: 1000-seed acceptance sweep + cross-world differential (release)"
 cargo test --release -q --test corrupt_sweep --test corrupt_differential
 

@@ -4,7 +4,7 @@
 //! The corruption adversary exists at three seams — the simulator tampers
 //! *stored* server state (`Sim::corrupt_server_state`), the net layer
 //! tampers *in-flight* frames post-codec (`CorruptingTransport`), and the
-//! pooled concurrent store tampers the *serving* path
+//! store-backed server tampers the *serving* path
 //! (`CorruptingBackend`). All three bottom out in the same `shmem-util`
 //! tamper primitives with the same salt, so the same plan — corrupt
 //! server 0, leave the rest honest — must produce the same per-key
@@ -210,29 +210,21 @@ fn net_world(algorithm: NetAlgorithm, batch: usize, seed: u64) -> BTreeMap<Key, 
 
 // -------------------------------------------------------------- store --
 
-/// Worker threads per pooled server.
-const WORKERS: usize = 2;
-
-/// The pooled-store world: every server is a pool of [`WORKERS`] workers
-/// over one shared striped store; server 0's workers serve through an
-/// armed [`CorruptingBackend`].
+/// The store world: every server is one automaton over a striped store,
+/// behind a [`CorruptingBackend`] that is armed on server 0 only.
 fn store_cas_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
     let cfg = cas_config();
-    let pools = (0..N)
+    let servers = (0..N)
         .map(|i| {
             let store = StoreCasBackend::new(cfg.clone(), i, 0);
-            (0..WORKERS)
-                .map(|_| {
-                    let mut backend = CorruptingBackend::new(store.clone(), SALT);
-                    backend.arm(i == CORRUPT_SERVER);
-                    ShardedCasServerOn::with_backend(cfg.clone(), ServerId(i), backend)
-                })
-                .collect()
+            let mut backend = CorruptingBackend::new(store, SALT);
+            backend.arm(i == CORRUPT_SERVER);
+            ShardedCasServerOn::with_backend(cfg.clone(), ServerId(i), backend)
         })
         .collect();
-    let cluster = NetCluster::<ShardedCas<CorruptingBackend<StoreCasBackend>>>::start_pooled(
+    let cluster = NetCluster::<ShardedCas<CorruptingBackend<StoreCasBackend>>>::start(
         NetBackend::InProc,
-        pools,
+        servers,
     );
     let load = net_load(batch, seed);
     let client_cfg = cfg.clone();
@@ -247,21 +239,17 @@ fn store_cas_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
 
 fn store_hashed_world(batch: usize, seed: u64) -> BTreeMap<Key, KeyVerdict> {
     let cfg = cas_config();
-    let pools = (0..N)
+    let servers = (0..N)
         .map(|i| {
             let store = StoreHashedBackend::new(cfg.clone(), i, 0);
-            (0..WORKERS)
-                .map(|_| {
-                    let mut backend = CorruptingBackend::new(store.clone(), SALT);
-                    backend.arm(i == CORRUPT_SERVER);
-                    ShardedHashedServerOn::with_backend(cfg.clone(), ServerId(i), backend)
-                })
-                .collect()
+            let mut backend = CorruptingBackend::new(store, SALT);
+            backend.arm(i == CORRUPT_SERVER);
+            ShardedHashedServerOn::with_backend(cfg.clone(), ServerId(i), backend)
         })
         .collect();
-    let cluster = NetCluster::<ShardedHashed<CorruptingBackend<StoreHashedBackend>>>::start_pooled(
+    let cluster = NetCluster::<ShardedHashed<CorruptingBackend<StoreHashedBackend>>>::start(
         NetBackend::InProc,
-        pools,
+        servers,
     );
     let load = net_load(batch, seed);
     let client_cfg = cfg.clone();
@@ -286,7 +274,7 @@ fn assert_identical(
     assert_eq!(sim, net, "{what} batch {batch}: sim vs net verdicts differ");
     assert_eq!(
         sim, store,
-        "{what} batch {batch}: sim vs pooled-store verdicts differ"
+        "{what} batch {batch}: sim vs store verdicts differ"
     );
 }
 

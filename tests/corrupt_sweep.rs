@@ -15,7 +15,7 @@
 //!   thread count is an implementation detail, not an input.
 //!
 //! Together with `corrupt_differential.rs` (same verdicts across the
-//! sim / in-process-net / pooled-store worlds) this is the acceptance
+//! sim / in-process-net / store-backed worlds) this is the acceptance
 //! gate for the corruption subsystem.
 
 use shmem_emulation::algorithms::harness::{AbdCluster, CasCluster, HashedCluster};
