@@ -24,7 +24,7 @@
 
 use crate::error::{FrameError, NetError};
 use shmem_sim::{ClientId, NodeId, ServerId};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 
 /// Frame magic bytes.
 pub const MAGIC: [u8; 2] = *b"SM";
@@ -70,28 +70,24 @@ fn get_node(buf: &[u8]) -> Result<NodeId, FrameError> {
     }
 }
 
-/// Serializes `env` into a complete frame.
-pub fn encode_frame(env: &Envelope) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_BYTES + env.payload.len());
+/// Appends `env` to `buf` as a complete frame; [`read_frame`] takes
+/// frames appended one after another off one at a time.
+pub fn encode_frame_into(buf: &mut Vec<u8>, env: &Envelope) {
+    buf.reserve(HEADER_BYTES + env.payload.len());
     buf.extend_from_slice(&MAGIC);
     buf.push(VERSION);
     buf.push(KIND_MSG);
-    put_node(&mut buf, env.from);
-    put_node(&mut buf, env.to);
+    put_node(buf, env.from);
+    put_node(buf, env.to);
     buf.extend_from_slice(&(env.payload.len() as u32).to_be_bytes());
     buf.extend_from_slice(&env.payload);
-    buf
 }
 
-/// Writes one frame to `w`.
-///
-/// # Errors
-///
-/// [`NetError::Io`] if the underlying write fails.
-pub fn write_frame(w: &mut impl Write, env: &Envelope) -> Result<(), NetError> {
-    let buf = encode_frame(env);
-    w.write_all(&buf).map_err(|e| NetError::io(&e))?;
-    Ok(())
+/// Serializes `env` into a complete frame.
+pub fn encode_frame(env: &Envelope) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_frame_into(&mut buf, env);
+    buf
 }
 
 /// Reads exactly `buf.len()` bytes, distinguishing clean EOF before the
@@ -175,6 +171,19 @@ mod tests {
         let bytes = encode_frame(&env());
         let mut cur = Cursor::new(bytes);
         assert_eq!(read_frame(&mut cur).unwrap(), Some(env()));
+        assert_eq!(read_frame(&mut cur).unwrap(), None);
+
+        // Two frames appended to one buffer read back as two envelopes.
+        let second = Envelope {
+            payload: vec![7; 300],
+            ..env()
+        };
+        let mut both = Vec::new();
+        encode_frame_into(&mut both, &env());
+        encode_frame_into(&mut both, &second);
+        let mut cur = Cursor::new(both);
+        assert_eq!(read_frame(&mut cur).unwrap(), Some(env()));
+        assert_eq!(read_frame(&mut cur).unwrap(), Some(second));
         assert_eq!(read_frame(&mut cur).unwrap(), None);
     }
 

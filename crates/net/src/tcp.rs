@@ -13,19 +13,27 @@
 //!   restarts on a new port becomes reachable the moment the table is
 //!   updated.
 //!
+//! An endpoint writes when it has nothing left to read: `send` queues
+//! the frame on its connection and then writes every queued connection,
+//! one write each — unless the endpoint's inbox already holds an
+//! envelope its owner has not taken. Then the bytes wait for the first
+//! `send` or `recv_timeout` that finds the inbox drained (always before
+//! the owner blocks), or for [`FLUSH_BYTES`] on one connection. A flush
+//! covers every connection or none, and readers read through a buffer,
+//! so one `read` takes in all the frames a peer coalesced (DESIGN §4.10).
+//!
 //! Both ends are best-effort: delivery failures drop the message (the
 //! client layer retransmits; the protocols dedupe), and only an
 //! exhausted reconnect budget surfaces as [`NetError::Disconnected`].
 
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame, Envelope};
-use crate::transport::{recv_from, Transport};
+use crate::frame::{encode_frame_into, read_frame, Envelope};
+use crate::transport::{Inbox, Transport};
 use shmem_sim::{NodeId, ServerId};
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -41,12 +49,15 @@ pub fn addr_table(addrs: Vec<SocketAddr>) -> AddrTable {
     Arc::new(Mutex::new(addrs))
 }
 
+/// Bytes queued on one connection at which `send` flushes though input is pending.
+const FLUSH_BYTES: usize = 32 << 10;
+
 /// The reader thread of `conn`: hands every frame off `stream` to
 /// `deliver` until the stream ends, `deliver` declines, or the peer sends
 /// garbage — counted in `decode_errors`; the connection closes, the
 /// endpoint lives on.
 fn spawn_reader(
-    mut stream: TcpStream,
+    mut stream: BufReader<TcpStream>,
     conn: Conn,
     decode_errors: Arc<AtomicU64>,
     mut deliver: impl FnMut(&Conn, Envelope) -> bool + Send + 'static,
@@ -68,46 +79,76 @@ fn spawn_reader(
             }
         }
         conn.alive.store(false, Ordering::Release);
-        let _ = stream.shutdown(Shutdown::Both);
+        let _ = stream.get_ref().shutdown(Shutdown::Both);
     });
+}
+
+/// The write half of a connection and the frames waiting to go out on it.
+struct WriteHalf {
+    stream: TcpStream,
+    queued: Vec<u8>,
 }
 
 /// One pooled connection: a shared write half plus a liveness flag its
 /// reader thread clears on failure.
 #[derive(Clone)]
 struct Conn {
-    stream: Arc<Mutex<TcpStream>>,
+    out: Arc<Mutex<WriteHalf>>,
     alive: Arc<AtomicBool>,
 }
 
 impl Conn {
     /// Takes over a fresh `stream` at either end: keeps a clone as the
-    /// write half and hands the stream to [`spawn_reader`].
+    /// write half, with `queued` (whole frames a predecessor never got
+    /// out) waiting on it, and hands the stream to [`spawn_reader`].
     fn open(
         stream: TcpStream,
+        queued: Vec<u8>,
         decode_errors: Arc<AtomicU64>,
         deliver: impl FnMut(&Conn, Envelope) -> bool + Send + 'static,
     ) -> Result<Conn, NetError> {
         let _ = stream.set_nodelay(true);
         let conn = Conn {
-            stream: Arc::new(Mutex::new(
-                stream.try_clone().map_err(|e| NetError::io(&e))?,
-            )),
+            out: Arc::new(Mutex::new(WriteHalf {
+                stream: stream.try_clone().map_err(|e| NetError::io(&e))?,
+                queued,
+            })),
             alive: Arc::new(AtomicBool::new(true)),
         };
-        spawn_reader(stream, conn.clone(), decode_errors, deliver);
+        spawn_reader(BufReader::new(stream), conn.clone(), decode_errors, deliver);
         Ok(conn)
     }
 
-    fn write(&self, env: &Envelope) -> Result<(), NetError> {
-        let mut guard = self.stream.lock().expect("conn stream poisoned");
-        write_frame(&mut *guard, env)
+    fn out(&self) -> std::sync::MutexGuard<'_, WriteHalf> {
+        self.out.lock().expect("conn write half poisoned")
+    }
+
+    /// Appends `env`'s frame to the queue; returns the bytes now queued
+    /// and whether the queue was empty before.
+    fn queue(&self, env: &Envelope) -> (usize, bool) {
+        let mut out = self.out();
+        let was_empty = out.queued.is_empty();
+        encode_frame_into(&mut out.queued, env);
+        (out.queued.len(), was_empty)
+    }
+
+    /// Writes everything queued, in one write; on failure the queue is
+    /// left as it was.
+    fn flush(&self) -> io::Result<()> {
+        let out = &mut *self.out();
+        out.stream.write_all(&out.queued)?;
+        out.queued.clear();
+        Ok(())
+    }
+
+    /// Empties the queue without writing it.
+    fn take_queued(&self) -> Vec<u8> {
+        std::mem::take(&mut self.out().queued)
     }
 
     fn sever(&self) {
         self.alive.store(false, Ordering::Release);
-        let guard = self.stream.lock().expect("conn stream poisoned");
-        let _ = guard.shutdown(Shutdown::Both);
+        let _ = self.out().stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -132,7 +173,9 @@ fn sever_all(registry: &Registry) {
 /// Server-side TCP endpoint: accept loop, per-connection readers,
 /// learned reply routes.
 pub struct TcpServerTransport {
-    inbox_rx: Receiver<Envelope>,
+    inbox: Inbox,
+    /// Connections with frames queued since the last flush.
+    dirty: Vec<Conn>,
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
 }
@@ -157,7 +200,8 @@ impl TcpServerTransport {
             .set_nonblocking(true)
             .map_err(|e| NetError::io(&e))?;
         let local_addr = listener.local_addr().map_err(|e| NetError::io(&e))?;
-        let (inbox_tx, inbox_rx) = mpsc::channel::<Envelope>();
+        let inbox = Inbox::new();
+        let inbox_tx = inbox.sender();
         let shared = Arc::new(ServerShared {
             stop: AtomicBool::new(false),
             routes: Mutex::new(HashMap::new()),
@@ -176,6 +220,7 @@ impl TcpServerTransport {
                         let (inbox, routes) = (inbox_tx.clone(), Arc::clone(&accept_shared));
                         let conn = Conn::open(
                             stream,
+                            Vec::new(),
                             Arc::clone(&accept_shared.decode_errors),
                             move |conn, env| {
                                 routes
@@ -183,7 +228,7 @@ impl TcpServerTransport {
                                     .lock()
                                     .expect("server routes poisoned")
                                     .insert(env.from, conn.clone());
-                                inbox.send(env).is_ok()
+                                inbox.deliver(env)
                             },
                         );
                         // A socket that cannot be cloned (descriptors
@@ -192,16 +237,16 @@ impl TcpServerTransport {
                             register(&accept_shared.conns, conn);
                         }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+                    // Nothing to accept yet, or an error that passes (an aborted
+                    // handshake, descriptors exhausted): only `stop` ends accepting.
+                    Err(_) => thread::sleep(Duration::from_millis(2)),
                 }
             }
         });
 
         Ok(TcpServerTransport {
-            inbox_rx,
+            inbox,
+            dirty: Vec::new(),
             shared,
             local_addr,
         })
@@ -216,6 +261,22 @@ impl TcpServerTransport {
     pub fn decode_errors(&self) -> u64 {
         self.shared.decode_errors.load(Ordering::Relaxed)
     }
+
+    /// Count of envelopes dropped because the inbox was full.
+    pub fn dropped(&self) -> u64 {
+        self.inbox.dropped()
+    }
+
+    /// Writes every dirty connection; one that fails is severed and its routes forgotten.
+    fn flush(&mut self) {
+        for conn in self.dirty.drain(..) {
+            if conn.flush().is_err() {
+                conn.sever();
+                let mut routes = self.shared.routes.lock().expect("server routes poisoned");
+                routes.retain(|_, c| !Arc::ptr_eq(&c.out, &conn.out));
+            }
+        }
+    }
 }
 
 impl Transport for TcpServerTransport {
@@ -224,26 +285,29 @@ impl Transport for TcpServerTransport {
             let routes = self.shared.routes.lock().expect("server routes poisoned");
             routes.get(&env.to).cloned()
         };
-        let Some(conn) = conn else {
-            // Unknown peer: it never spoke to us, or its connection died.
-            // Best-effort delivery drops the message.
-            return Ok(());
-        };
-        if !conn.alive.load(Ordering::Acquire) || conn.write(env).is_err() {
-            conn.sever();
-            let mut routes = self.shared.routes.lock().expect("server routes poisoned");
-            routes.remove(&env.to);
+        // Unknown peer: it never spoke to us, or its connection died.
+        // Best-effort delivery drops the message.
+        let (queued, was_empty) = conn.as_ref().map_or((0, false), |c| c.queue(env));
+        if was_empty {
+            self.dirty.extend(conn);
+        }
+        if queued >= FLUSH_BYTES || !self.inbox.more() {
+            self.flush();
         }
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        recv_from(&self.inbox_rx, timeout)
+        if !self.dirty.is_empty() && !self.inbox.more() {
+            self.flush();
+        }
+        self.inbox.recv_timeout(timeout)
     }
 }
 
 impl Drop for TcpServerTransport {
     fn drop(&mut self) {
+        self.flush();
         self.shared.stop.store(true, Ordering::Release);
         sever_all(&self.shared.conns);
     }
@@ -259,8 +323,9 @@ const BASE_BACKOFF: Duration = Duration::from_millis(5);
 pub struct TcpClientTransport {
     addrs: AddrTable,
     conns: HashMap<usize, Conn>,
-    inbox_tx: Sender<Envelope>,
-    inbox_rx: Receiver<Envelope>,
+    /// Servers whose connection has frames queued since the last flush.
+    dirty: Vec<usize>,
+    inbox: Inbox,
     decode_errors: Arc<AtomicU64>,
     connects: Arc<AtomicU64>,
     registry: Arc<Registry>,
@@ -292,12 +357,11 @@ impl PoolFaults {
 impl TcpClientTransport {
     /// A pool over the given address table.
     pub fn new(addrs: AddrTable) -> TcpClientTransport {
-        let (inbox_tx, inbox_rx) = mpsc::channel();
         TcpClientTransport {
             addrs,
             conns: HashMap::new(),
-            inbox_tx,
-            inbox_rx,
+            dirty: Vec::new(),
+            inbox: Inbox::new(),
             decode_errors: Arc::new(AtomicU64::new(0)),
             connects: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(Mutex::new(Vec::new())),
@@ -312,7 +376,18 @@ impl TcpClientTransport {
         }
     }
 
-    fn connect(&mut self, server: usize) -> Result<Conn, NetError> {
+    /// Count of connections dropped for receiving undecodable bytes.
+    pub fn decode_errors(&self) -> u64 {
+        self.decode_errors.load(Ordering::Relaxed)
+    }
+
+    /// Count of envelopes dropped because the inbox was full.
+    pub fn dropped(&self) -> u64 {
+        self.inbox.dropped()
+    }
+
+    /// Connects to `server`; `queued` — frames its last connection never got out — goes first.
+    fn connect(&mut self, server: usize, queued: Vec<u8>) -> Result<Conn, NetError> {
         let mut backoff = BASE_BACKOFF;
         let mut last = NetError::Disconnected {
             peer: NodeId::Server(ServerId(server as u32)),
@@ -333,11 +408,11 @@ impl TcpClientTransport {
             };
             match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
                 Ok(stream) => {
-                    let inbox = self.inbox_tx.clone();
-                    let conn =
-                        Conn::open(stream, Arc::clone(&self.decode_errors), move |_, env| {
-                            inbox.send(env).is_ok()
-                        })?;
+                    let inbox = self.inbox.sender();
+                    let decode_errors = Arc::clone(&self.decode_errors);
+                    let conn = Conn::open(stream, queued, decode_errors, move |_, env| {
+                        inbox.deliver(env)
+                    })?;
                     self.connects.fetch_add(1, Ordering::Relaxed);
                     register(&self.registry, conn.clone());
                     self.conns.insert(server, conn.clone());
@@ -349,14 +424,31 @@ impl TcpClientTransport {
         Err(last)
     }
 
+    /// Replaces `server`'s connection; the new one inherits the frames the old never got out.
+    fn reconnect(&mut self, server: usize) -> Result<Conn, NetError> {
+        let old = self.conns.remove(&server);
+        old.iter().for_each(Conn::sever);
+        self.connect(server, old.map_or_else(Vec::new, |c| c.take_queued()))
+    }
+
     fn conn_for(&mut self, server: usize) -> Result<Conn, NetError> {
-        if let Some(conn) = self.conns.get(&server) {
-            if conn.alive.load(Ordering::Acquire) {
-                return Ok(conn.clone());
-            }
-            self.conns.remove(&server);
+        match self.conns.get(&server) {
+            Some(conn) if conn.alive.load(Ordering::Acquire) => Ok(conn.clone()),
+            _ => self.reconnect(server),
         }
-        self.connect(server)
+    }
+
+    /// Writes every dirty connection. One that fails is replaced once and its frames re-sent
+    /// (whole frames; the automata dedupe); a second failure leaves them to the retransmit timer.
+    fn flush(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for server in dirty.drain(..) {
+            let failed = |conn: Option<&Conn>| conn.is_some_and(|c| c.flush().is_err());
+            if failed(self.conns.get(&server)) && failed(self.reconnect(server).ok().as_ref()) {
+                self.conns.remove(&server).iter().for_each(Conn::sever);
+            }
+        }
+        self.dirty = dirty;
     }
 }
 
@@ -367,29 +459,28 @@ impl Transport for TcpClientTransport {
             return Ok(());
         };
         let server = idx as usize;
-        let conn = self.conn_for(server)?;
-        if conn.write(env).is_err() {
-            conn.sever();
-            self.conns.remove(&server);
-            // One reconnect-and-retry; a second failure drops the
-            // message and lets the retransmit timer try again later.
-            let conn = self.connect(server)?;
-            if conn.write(env).is_err() {
-                conn.sever();
-                self.conns.remove(&server);
-            }
+        let (queued, was_empty) = self.conn_for(server)?.queue(env);
+        if was_empty {
+            self.dirty.push(server);
+        }
+        if queued >= FLUSH_BYTES || !self.inbox.more() {
+            self.flush();
         }
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        recv_from(&self.inbox_rx, timeout)
+        if !self.dirty.is_empty() && !self.inbox.more() {
+            self.flush();
+        }
+        self.inbox.recv_timeout(timeout)
     }
 }
 
 impl Drop for TcpClientTransport {
     fn drop(&mut self) {
         for conn in self.conns.values() {
+            let _ = conn.flush();
             conn.sever();
         }
     }
@@ -405,8 +496,27 @@ mod tests {
         "127.0.0.1:0".parse().unwrap()
     }
 
+    fn request(client: u32, payload: Vec<u8>) -> Envelope {
+        Envelope {
+            from: NodeId::Client(ClientId(client)),
+            to: NodeId::Server(ServerId(0)),
+            payload,
+        }
+    }
+
+    fn reply(client: u32, payload: Vec<u8>) -> Envelope {
+        Envelope {
+            from: NodeId::Server(ServerId(0)),
+            to: NodeId::Client(ClientId(client)),
+            payload,
+        }
+    }
+
+    const SOON: Duration = Duration::from_millis(50);
+    const LATE: Duration = Duration::from_secs(5);
+
     /// Spins until `cond` holds; panics after five seconds.
-    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while !cond() {
             assert!(Instant::now() < deadline, "timed out waiting until {what}");
@@ -501,6 +611,171 @@ mod tests {
             .unwrap()
             .is_some());
         assert!(faults.connects() > before);
+
+        // Sever while bytes are queued. With a reply waiting untaken the
+        // next request is held back; the flush that then fails replaces
+        // the connection and the frame arrives exactly as sent, once.
+        server.send(&reply(0, vec![2])).unwrap();
+        wait_until("the reply is in", || client.inbox.more());
+        let held = request(0, vec![3; 100]);
+        client.send(&held).unwrap();
+        assert_eq!(server.recv_timeout(SOON).unwrap(), None, "held back");
+        let before = faults.connects();
+        faults.sever_all();
+        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(0, vec![2])));
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None);
+        assert_eq!(server.recv_timeout(LATE).unwrap(), Some(held));
+        assert_eq!(server.recv_timeout(SOON).unwrap(), None, "sent once");
+        assert_eq!(faults.connects(), before + 1);
+
+        // The same when the next `send` finds the connection dead before
+        // any flush has: what was queued moves to the new connection,
+        // ahead of the new frame.
+        server.send(&reply(0, vec![4])).unwrap();
+        wait_until("the reply is in", || client.inbox.more());
+        let (first, second) = (request(0, vec![5; 100]), request(0, vec![6]));
+        client.send(&first).unwrap();
+        faults.sever_all();
+        client.send(&second).unwrap();
+        assert_eq!(faults.connects(), before + 2);
+        assert_eq!(server.recv_timeout(SOON).unwrap(), None, "both held back");
+        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(0, vec![4])));
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None);
+        assert_eq!(server.recv_timeout(LATE).unwrap(), Some(first));
+        assert_eq!(server.recv_timeout(LATE).unwrap(), Some(second));
+    }
+
+    /// Replies wait while the server still has input it has not taken,
+    /// and all leave, in order, when it finds its inbox drained.
+    #[test]
+    fn replies_leave_when_the_inbox_is_drained() {
+        let mut server = TcpServerTransport::bind(loopback()).unwrap();
+        let mut client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
+        for i in 0..3 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        for i in 0..3 {
+            wait_until("the next request is in", || server.inbox.more());
+            let got = server.recv_timeout(LATE).unwrap();
+            assert_eq!(got, Some(request(0, vec![i])));
+            if i < 2 {
+                wait_until("the request after it is in", || server.inbox.more());
+            }
+            server.send(&reply(0, vec![10 + i])).unwrap();
+            if i < 2 {
+                assert_eq!(client.recv_timeout(SOON).unwrap(), None, "reply {i} waits");
+            }
+        }
+        for i in 0..3 {
+            let got = client.recv_timeout(LATE).unwrap();
+            assert_eq!(got, Some(reply(0, vec![10 + i])));
+        }
+
+        // A `recv_timeout` that finds the inbox drained releases them too.
+        for i in 0..2 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        wait_until("the first request is in", || server.inbox.more());
+        server.recv_timeout(LATE).unwrap().expect("first request");
+        wait_until("the second request is in", || server.inbox.more());
+        server.send(&reply(0, vec![20])).unwrap();
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "reply waits");
+        server.recv_timeout(LATE).unwrap().expect("second request");
+        assert_eq!(server.recv_timeout(SOON).unwrap(), None);
+        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(0, vec![20])));
+    }
+
+    /// With input pending, a connection's queue still leaves once
+    /// [`FLUSH_BYTES`] are on it.
+    #[test]
+    fn a_full_queue_is_written_without_waiting() {
+        let mut server = TcpServerTransport::bind(loopback()).unwrap();
+        let mut client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
+        for i in 0..2 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        wait_until("the first request is in", || server.inbox.more());
+        server.recv_timeout(LATE).unwrap().expect("first request");
+        wait_until("the second request is in", || server.inbox.more());
+
+        let big = reply(0, vec![0xab; FLUSH_BYTES / 4]);
+        for _ in 0..3 {
+            server.send(&big).unwrap();
+        }
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "under the bound");
+        server.send(&big).unwrap();
+        for _ in 0..4 {
+            assert_eq!(client.recv_timeout(LATE).unwrap().as_ref(), Some(&big));
+        }
+        assert!(server.inbox.more(), "the second request was never taken");
+    }
+
+    /// One `read` may carry a good frame and garbage behind it: the frame
+    /// is delivered, the garbage counted once, and only that connection
+    /// closes.
+    #[test]
+    fn garbage_behind_a_frame_closes_only_its_connection() {
+        use std::io::{Read, Write};
+        let mut server = TcpServerTransport::bind(loopback()).unwrap();
+        let mut client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
+        client.send(&request(1, vec![1])).unwrap();
+        assert_eq!(
+            server.recv_timeout(LATE).unwrap(),
+            Some(request(1, vec![1]))
+        );
+
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let mut bytes = crate::frame::encode_frame(&request(2, vec![2]));
+        bytes.extend_from_slice(b"this is not a frame at all........");
+        raw.write_all(&bytes).unwrap();
+        assert_eq!(
+            server.recv_timeout(LATE).unwrap(),
+            Some(request(2, vec![2]))
+        );
+        wait_until("the garbage is counted", || server.decode_errors() == 1);
+        // The raw connection reads end-of-stream (or a reset)…
+        raw.set_read_timeout(Some(LATE)).unwrap();
+        assert!(matches!(raw.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+        // …while the pool's still carries traffic both ways.
+        server.send(&reply(1, vec![3])).unwrap();
+        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(1, vec![3])));
+        client.send(&request(1, vec![4])).unwrap();
+        assert_eq!(
+            server.recv_timeout(LATE).unwrap(),
+            Some(request(1, vec![4]))
+        );
+        assert_eq!(server.decode_errors(), 1);
+        assert_eq!(client.faults().connects(), 1);
+    }
+
+    /// The client half of the shared reader: a server that answers with
+    /// garbage is counted once, loses that connection, and the next
+    /// `send` connects afresh.
+    #[test]
+    fn garbage_from_a_server_is_counted_and_the_pool_reconnects() {
+        use std::io::Write;
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let mut client = TcpClientTransport::new(addr_table(vec![listener.local_addr().unwrap()]));
+        client.send(&request(0, vec![1])).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        assert_eq!(
+            read_frame(&mut peer).unwrap(),
+            Some(request(0, vec![1])),
+            "the request arrives"
+        );
+        peer.write_all(b"this is not a frame at all........")
+            .unwrap();
+        wait_until("the garbage is counted", || client.decode_errors() == 1);
+        wait_until("the connection is given up", || {
+            !client.conns[&0].alive.load(Ordering::Acquire)
+        });
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None);
+
+        client.send(&request(0, vec![2])).unwrap();
+        assert_eq!(client.faults().connects(), 2);
+        let (mut peer, _) = listener.accept().unwrap();
+        assert_eq!(read_frame(&mut peer).unwrap(), Some(request(0, vec![2])));
+        assert_eq!(client.decode_errors(), 1);
     }
 
     /// Every reconnect used to leave its predecessor's cloned socket in

@@ -15,11 +15,17 @@
 //! already tolerate (the simulator's adversary is far crueler). The
 //! client layer adds retransmission on top, and the protocol state
 //! machines dedupe via their `heard` sets.
+//!
+//! Every endpoint of either backend receives into the same bounded
+//! inbox: at `INBOX_BOUND` untaken envelopes the newest is dropped and
+//! counted (`dropped()`) — the model's message loss, which the
+//! retransmit timer covers.
 
 use crate::error::NetError;
 pub use crate::frame::Envelope;
 use shmem_sim::NodeId;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -31,6 +37,10 @@ use std::time::Duration;
 pub trait Transport: Send {
     /// Sends `env` towards `env.to`. Best-effort: `Ok(())` means the
     /// transport accepted the message, not that the peer will see it.
+    /// A backend may hold an accepted message back while the endpoint's
+    /// own inbox still has an envelope its owner has not taken, and
+    /// releases it at the first `send` or `recv_timeout` that finds the
+    /// inbox drained — always before the owner blocks.
     ///
     /// # Errors
     ///
@@ -48,10 +58,94 @@ pub trait Transport: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError>;
 }
 
-type Routes = Arc<Mutex<HashMap<NodeId, Sender<Envelope>>>>;
+/// Undelivered envelopes an inbox holds before it drops the newest.
+const INBOX_BOUND: usize = 65_536;
+
+/// Statistics only: neither counter publishes other data, so `Relaxed`.
+#[derive(Default)]
+struct InboxCounters {
+    depth: AtomicUsize,
+    dropped: AtomicU64,
+}
+
+/// The delivering half of an [`Inbox`].
+#[derive(Clone)]
+pub(crate) struct InboxSender {
+    tx: Sender<Envelope>,
+    counters: Arc<InboxCounters>,
+}
+
+impl InboxSender {
+    /// Queues `env`, or drops and counts it when the inbox is at its
+    /// bound. `false` only when the inbox is gone.
+    pub(crate) fn deliver(&self, env: Envelope) -> bool {
+        if self.counters.depth.fetch_add(1, Ordering::Relaxed) >= INBOX_BOUND {
+            self.counters.depth.fetch_sub(1, Ordering::Relaxed);
+            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        self.tx.send(env).is_ok()
+    }
+}
+
+/// A bounded inbox with a one-envelope look-ahead: an unbounded `mpsc` queue with a depth
+/// counter beside it (a `sync_channel` would pre-allocate its bound per inbox). It keeps a
+/// sender of its own, so an endpoint no route leads to is unreachable, not shut down.
+pub(crate) struct Inbox {
+    rx: Receiver<Envelope>,
+    /// Taken off the queue by [`Inbox::more`]; the next receive returns it first.
+    ahead: Option<Envelope>,
+    tx: InboxSender,
+}
+
+impl Inbox {
+    pub(crate) fn new() -> Inbox {
+        let (tx, rx) = mpsc::channel();
+        let counters = Arc::default();
+        let tx = InboxSender { tx, counters };
+        let ahead = None;
+        Inbox { rx, ahead, tx }
+    }
+
+    pub(crate) fn sender(&self) -> InboxSender {
+        self.tx.clone()
+    }
+
+    fn taken(&self, env: Envelope) -> Envelope {
+        self.tx.counters.depth.fetch_sub(1, Ordering::Relaxed);
+        env
+    }
+
+    /// Whether an envelope is already here for the owner to take.
+    pub(crate) fn more(&mut self) -> bool {
+        if self.ahead.is_none() {
+            self.ahead = self.rx.try_recv().ok().map(|env| self.taken(env));
+        }
+        self.ahead.is_some()
+    }
+
+    /// [`Transport::recv_timeout`] over this inbox.
+    pub(crate) fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
+        if let Some(env) = self.ahead.take() {
+            return Ok(Some(env));
+        }
+        match self.rx.recv_timeout(timeout) {
+            Ok(env) => Ok(Some(self.taken(env))),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
+        }
+    }
+
+    /// Envelopes dropped at the bound so far.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.tx.counters.dropped.load(Ordering::Relaxed)
+    }
+}
+
+type Routes = Arc<Mutex<HashMap<NodeId, InboxSender>>>;
 
 /// In-process message hub: a shared routing table from node ids to
-/// `mpsc` inboxes.
+/// inboxes.
 ///
 /// A "connection" here is just a table entry, so the hub is also where
 /// in-process fault injection lives: [`InProcHub::drop_route`] makes a
@@ -72,15 +166,14 @@ impl InProcHub {
     /// or a whole block of logical clients (client workers); all of the
     /// block's ids map to the same inbox.
     pub fn endpoint(&self, ids: &[NodeId]) -> InProcEndpoint {
-        let (tx, rx) = mpsc::channel();
+        let inbox = Inbox::new();
         let mut routes = self.routes.lock().expect("hub routes poisoned");
         for &id in ids {
-            routes.insert(id, tx.clone());
+            routes.insert(id, inbox.sender());
         }
         InProcEndpoint {
             routes: Arc::clone(&self.routes),
-            rx,
-            _tx: tx,
+            inbox,
         }
     }
 
@@ -95,10 +188,14 @@ impl InProcHub {
 /// One endpoint of an [`InProcHub`].
 pub struct InProcEndpoint {
     routes: Routes,
-    rx: Receiver<Envelope>,
-    /// Keeps the channel open even when every route to it is dropped
-    /// (a routeless endpoint is unreachable, not dead).
-    _tx: Sender<Envelope>,
+    inbox: Inbox,
+}
+
+impl InProcEndpoint {
+    /// Count of envelopes dropped because this endpoint's inbox was full.
+    pub fn dropped(&self) -> u64 {
+        self.inbox.dropped()
+    }
 }
 
 impl Transport for InProcEndpoint {
@@ -107,25 +204,13 @@ impl Transport for InProcEndpoint {
         if let Some(tx) = routes.get(&env.to) {
             // A dead receiver is a crashed peer: drop the message, as a
             // real network would.
-            let _ = tx.send(env.clone());
+            tx.deliver(env.clone());
         }
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        recv_from(&self.rx, timeout)
-    }
-}
-
-/// [`Transport::recv_timeout`] over an endpoint's `mpsc` inbox.
-pub(crate) fn recv_from(
-    inbox: &Receiver<Envelope>,
-    timeout: Duration,
-) -> Result<Option<Envelope>, NetError> {
-    match inbox.recv_timeout(timeout) {
-        Ok(env) => Ok(Some(env)),
-        Err(RecvTimeoutError::Timeout) => Ok(None),
-        Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
+        self.inbox.recv_timeout(timeout)
     }
 }
 
@@ -172,5 +257,38 @@ mod tests {
         })
         .unwrap();
         assert_eq!(b.recv_timeout(Duration::from_millis(10)).unwrap(), None);
+    }
+
+    /// Bound + k envelopes into an endpoint nobody drains: the k newest
+    /// are dropped and counted, the bound's worth arrive oldest first.
+    #[test]
+    fn full_inbox_drops_the_newest_and_counts() {
+        const K: usize = 3;
+        let hub = InProcHub::new();
+        let mut a = hub.endpoint(&[server(0)]);
+        let mut b = hub.endpoint(&[client(0)]);
+        for i in 0..INBOX_BOUND + K {
+            a.send(&Envelope {
+                from: server(0),
+                to: client(0),
+                payload: (i as u32).to_be_bytes().to_vec(),
+            })
+            .unwrap();
+        }
+        assert_eq!(b.dropped(), K as u64);
+        assert_eq!(a.dropped(), 0);
+        for i in 0..INBOX_BOUND {
+            let got = b.recv_timeout(Duration::ZERO).unwrap().expect("queued");
+            assert_eq!(got.payload, (i as u32).to_be_bytes());
+        }
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), None);
+        // Drained, the inbox accepts again.
+        a.send(&Envelope {
+            from: server(0),
+            to: client(0),
+            payload: vec![],
+        })
+        .unwrap();
+        assert!(b.inbox.more());
     }
 }

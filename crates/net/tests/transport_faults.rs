@@ -6,17 +6,22 @@
 //!
 //! These tests drive [`NetCluster`] directly rather than through
 //! [`shmem_net::NetScenario`] because fault injection needs the cluster
-//! handle while the load is in flight.
+//! handle while the load is in flight; the overload test goes one level
+//! lower, to the hub and the two loops, because it needs to hold an
+//! endpoint that nobody serves.
 
 use shmem_algorithms::abd::{ShardedAbd, ShardedAbdClient, ShardedAbdServer};
 use shmem_algorithms::cas::{ShardedCas, ShardedCasClient, ShardedCasConfig, ShardedCasServer};
 use shmem_algorithms::multikey::{project_histories, ShardMap};
 use shmem_algorithms::value::ValueSpec;
-use shmem_net::{LoadConfig, NetBackend, NetCluster};
-use shmem_sim::ServerId;
+use shmem_net::client::run_worker;
+use shmem_net::{serve_until, InProcHub, LoadConfig, NetBackend, NetCluster, Transport};
+use shmem_sim::{ClientId, NodeId, ServerId};
 use shmem_spec::check_atomic;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const N: u32 = 5;
 const F: u32 = 1;
@@ -191,4 +196,67 @@ fn quorum_starvation_retires_cleanly_without_violation() {
 #[test]
 fn inproc_load_tolerates_dropped_server_route() {
     permanent_crash_cell(abd_cluster(NetBackend::InProc), 2);
+}
+
+/// Overload: a server whose endpoint exists but is never served is a
+/// queue nobody drains. Its inbox fills to the bound and stays there —
+/// the excess is dropped newest-first and counted — while the four
+/// served servers carry every operation to completion.
+#[test]
+fn unserved_inbox_stops_at_its_bound_and_the_load_completes() {
+    // `transport.rs`' private `INBOX_BOUND`.
+    const INBOX_BOUND: u64 = 65_536;
+    let hub = InProcHub::new();
+    let stop = Arc::new(AtomicBool::new(false));
+    let served: Vec<_> = (0..N - 1)
+        .map(|i| {
+            let (endpoint, stop) = (hub.endpoint(&[NodeId::Server(ServerId(i))]), stop.clone());
+            let automaton = ShardedAbdServer::new(0, ValueSpec::from_bits(64.0));
+            thread::spawn(move || {
+                serve_until::<ShardedAbd, _>(automaton, ServerId(i), endpoint, stop)
+            })
+        })
+        .collect();
+    let mut unserved = hub.endpoint(&[NodeId::Server(ServerId(N - 1))]);
+
+    // Two messages per operation reach every server, so a little over
+    // half the bound in operations overfills the fifth inbox.
+    let lc = LoadConfig {
+        clients: 64,
+        workers: 1,
+        ops_per_client: 520,
+        batch: 1,
+        keyspace: 4096,
+        ..load(0, 0)
+    };
+    let ids: Vec<ClientId> = (0..lc.clients).map(ClientId).collect();
+    let nodes: Vec<NodeId> = ids.iter().map(|&c| NodeId::Client(c)).collect();
+    let map = ShardMap::full(N);
+    let report = run_worker::<ShardedAbd, _>(
+        hub.endpoint(&nodes),
+        ids,
+        |id| ShardedAbdClient::new(map, id.0),
+        &lc,
+        Instant::now(),
+    );
+    stop.store(true, Ordering::Release);
+    for server in served {
+        server.join().expect("server thread panicked");
+    }
+
+    assert_eq!(report.retired, 0, "four of five is a quorum");
+    assert_eq!(
+        report.completed,
+        u64::from(lc.clients) * lc.ops_per_client as u64
+    );
+    assert_all_atomic(&report.records);
+    // Every fan-out addresses all N servers, retransmissions included.
+    let sent_to_unserved = report.msgs_sent / u64::from(N);
+    assert!(sent_to_unserved > INBOX_BOUND, "{sent_to_unserved} sent");
+    assert_eq!(unserved.dropped(), sent_to_unserved - INBOX_BOUND);
+    let mut held = 0;
+    while unserved.recv_timeout(Duration::ZERO).unwrap().is_some() {
+        held += 1;
+    }
+    assert_eq!(held, INBOX_BOUND, "depth never passed the bound");
 }

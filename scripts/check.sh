@@ -29,7 +29,21 @@ cargo test --release -q -p shmem-algorithms --test shard_differential
 
 echo "==> net gate: TCP/in-proc differential + wire properties + fault soup (release)"
 cargo test --release -q --test net_differential
-cargo test --release -q -p shmem-net --test wire_roundtrip --test transport_faults
+cargo test --release -q -p shmem-net --lib --test wire_roundtrip --test transport_faults
+
+echo "==> one write per drain: an endpoint's queued frames leave through one call"
+if [ "$(sed '/#\[cfg(test)\]/,$d' crates/net/src/tcp.rs | grep -c "write_all")" != 1 ]; then
+  echo "crates/net/src/tcp.rs must name write_all exactly once (Conn::flush) before its tests" >&2
+  exit 1
+fi
+if grep -rn "write_frame" crates tests examples; then
+  echo "the per-frame write was replaced by the per-connection queue (DESIGN §4.10); do not bring it back" >&2
+  exit 1
+fi
+if [ "$(cat crates/net/src/*.rs | grep -c "mpsc::channel")" != 1 ]; then
+  echo "crates/net/src must build its queues through transport.rs' bounded inbox (one mpsc::channel)" >&2
+  exit 1
+fi
 
 echo "==> one serve loop: a server is one automaton on one thread"
 if sed '/#\[cfg(test)\]/,$d' crates/net/src/serve.rs | grep -n "thread::\|Condvar\|mpsc"; then
