@@ -66,8 +66,8 @@ impl NetAlgorithm {
 /// Which transport backend carries the messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetBackend {
-    /// In-process channel routing (no syscalls) — the differential
-    /// baseline.
+    /// In-process channel routing (no frames, no sockets) — the
+    /// differential baseline.
     InProc,
     /// Real TCP over loopback with framing and a reconnecting pool.
     Tcp,
@@ -275,9 +275,9 @@ where
         }
     }
 
-    /// Kills server `i`: stops its loop and drops its transport (TCP
-    /// connections reset; in-proc route vanishes). Its automaton state is
-    /// retained for [`NetCluster::restart_server`].
+    /// Kills server `i`: stops its loop and drops its transport, which hands over what it had
+    /// queued (TCP connections then reset; an in-proc route is gone first). Its automaton state
+    /// is retained for [`NetCluster::restart_server`].
     pub fn kill_server(&mut self, i: usize) {
         if let BackendState::InProc(hub) = &self.backend {
             hub.drop_route(NodeId::Server(ServerId(i as u32)));

@@ -12,14 +12,14 @@
 //! * [`wire`] — a strict binary codec for every protocol message type
 //!   (`decode(encode(m)) == m`, hostile input rejected as errors).
 //! * [`frame`] — length-prefixed frames with source/destination routing.
-//! * [`transport`] — the [`transport::Transport`] trait, the bounded
-//!   inbox every endpoint receives into, and the in-process hub backend.
+//! * [`transport`] — the [`transport::Transport`] trait, the one
+//!   [`transport::Endpoint`] (the bounded inbox every endpoint receives
+//!   into and the rule it delivers by), and the in-process hub backend.
 //! * [`corrupt`] — the Byzantine corruption seam: a transport decorator
 //!   that tampers value-bearing payloads post-codec, driven by the same
 //!   protocol hooks and salts as the simulator's adversary.
 //! * [`tcp`] — the TCP backend: listener + reader threads server-side, a
-//!   reconnecting pool client-side; an endpoint's queued frames leave,
-//!   one write per connection, when it has nothing left to read.
+//!   reconnecting pool client-side, one write per connection per flush.
 //! * [`serve`] — the server event loop adapting a `Protocol` automaton
 //!   to a transport via the `Ctx::new` hook.
 //! * [`client`] — logical clients multiplexed over worker threads, with

@@ -13,14 +13,10 @@
 //!   restarts on a new port becomes reachable the moment the table is
 //!   updated.
 //!
-//! An endpoint writes when it has nothing left to read: `send` queues
-//! the frame on its connection and then writes every queued connection,
-//! one write each — unless the endpoint's inbox already holds an
-//! envelope its owner has not taken. Then the bytes wait for the first
-//! `send` or `recv_timeout` that finds the inbox drained (always before
-//! the owner blocks), or for [`FLUSH_BYTES`] on one connection. A flush
-//! covers every connection or none, and readers read through a buffer,
-//! so one `read` takes in all the frames a peer coalesced (DESIGN §4.10).
+//! Both are [`Endpoint`]s and deliver by the one rule they share with the
+//! hub; below it, each connection keeps a byte queue that a flush writes
+//! in one write. Readers read through a buffer, so one `read` takes in
+//! all the frames a peer coalesced (DESIGN §4.10).
 //!
 //! Both ends are best-effort: delivery failures drop the message (the
 //! client layer retransmits; the protocols dedupe), and only an
@@ -28,7 +24,7 @@
 
 use crate::error::NetError;
 use crate::frame::{encode_frame_into, read_frame, Envelope};
-use crate::transport::{Inbox, Transport};
+use crate::transport::{Endpoint, Inbox, InboxSender, Peers};
 use shmem_sim::{NodeId, ServerId};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -48,9 +44,6 @@ pub type AddrTable = Arc<Mutex<Vec<SocketAddr>>>;
 pub fn addr_table(addrs: Vec<SocketAddr>) -> AddrTable {
     Arc::new(Mutex::new(addrs))
 }
-
-/// Bytes queued on one connection at which `send` flushes though input is pending.
-const FLUSH_BYTES: usize = 32 << 10;
 
 /// The reader thread of `conn`: hands every frame off `stream` to
 /// `deliver` until the stream ends, `deliver` declines, or the peer sends
@@ -172,8 +165,10 @@ fn sever_all(registry: &Registry) {
 
 /// Server-side TCP endpoint: accept loop, per-connection readers,
 /// learned reply routes.
-pub struct TcpServerTransport {
-    inbox: Inbox,
+pub type TcpServerTransport = Endpoint<ServerPeers>;
+
+/// The server end's queues, one per accepted connection.
+pub struct ServerPeers {
     /// Connections with frames queued since the last flush.
     dirty: Vec<Conn>,
     shared: Arc<ServerShared>,
@@ -244,27 +239,39 @@ impl TcpServerTransport {
             }
         });
 
-        Ok(TcpServerTransport {
-            inbox,
-            dirty: Vec::new(),
+        let dirty = Vec::new();
+        let peers = ServerPeers {
+            dirty,
             shared,
             local_addr,
-        })
+        };
+        Ok(Endpoint { peers, inbox })
     }
 
     /// The bound socket address (with the real port when bound to 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.peers.local_addr
     }
 
     /// Count of connections dropped for sending undecodable bytes.
     pub fn decode_errors(&self) -> u64 {
-        self.shared.decode_errors.load(Ordering::Relaxed)
+        self.peers.shared.decode_errors.load(Ordering::Relaxed)
     }
+}
 
-    /// Count of envelopes dropped because the inbox was full.
-    pub fn dropped(&self) -> u64 {
-        self.inbox.dropped()
+impl Peers for ServerPeers {
+    fn queue(&mut self, env: &Envelope) -> Result<usize, NetError> {
+        let conn = {
+            let routes = self.shared.routes.lock().expect("server routes poisoned");
+            routes.get(&env.to).cloned()
+        };
+        // Unknown peer: it never spoke to us, or its connection died.
+        // Best-effort delivery drops the message.
+        let (queued, was_empty) = conn.as_ref().map_or((0, false), |c| c.queue(env));
+        if was_empty {
+            self.dirty.extend(conn);
+        }
+        Ok(queued)
     }
 
     /// Writes every dirty connection; one that fails is severed and its routes forgotten.
@@ -279,33 +286,7 @@ impl TcpServerTransport {
     }
 }
 
-impl Transport for TcpServerTransport {
-    fn send(&mut self, env: &Envelope) -> Result<(), NetError> {
-        let conn = {
-            let routes = self.shared.routes.lock().expect("server routes poisoned");
-            routes.get(&env.to).cloned()
-        };
-        // Unknown peer: it never spoke to us, or its connection died.
-        // Best-effort delivery drops the message.
-        let (queued, was_empty) = conn.as_ref().map_or((0, false), |c| c.queue(env));
-        if was_empty {
-            self.dirty.extend(conn);
-        }
-        if queued >= FLUSH_BYTES || !self.inbox.more() {
-            self.flush();
-        }
-        Ok(())
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        if !self.dirty.is_empty() && !self.inbox.more() {
-            self.flush();
-        }
-        self.inbox.recv_timeout(timeout)
-    }
-}
-
-impl Drop for TcpServerTransport {
+impl Drop for ServerPeers {
     fn drop(&mut self) {
         self.flush();
         self.shared.stop.store(true, Ordering::Release);
@@ -320,12 +301,15 @@ const BASE_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Client-side TCP endpoint: one lazily-established connection per
 /// server, reconnecting with bounded exponential backoff.
-pub struct TcpClientTransport {
+pub type TcpClientTransport = Endpoint<PoolPeers>;
+
+/// The pool end's queues, one per server connection.
+pub struct PoolPeers {
     addrs: AddrTable,
     conns: HashMap<usize, Conn>,
     /// Servers whose connection has frames queued since the last flush.
     dirty: Vec<usize>,
-    inbox: Inbox,
+    inbox: InboxSender,
     decode_errors: Arc<AtomicU64>,
     connects: Arc<AtomicU64>,
     registry: Arc<Registry>,
@@ -357,35 +341,34 @@ impl PoolFaults {
 impl TcpClientTransport {
     /// A pool over the given address table.
     pub fn new(addrs: AddrTable) -> TcpClientTransport {
-        TcpClientTransport {
+        let inbox = Inbox::new();
+        let peers = PoolPeers {
             addrs,
             conns: HashMap::new(),
             dirty: Vec::new(),
-            inbox: Inbox::new(),
+            inbox: inbox.sender(),
             decode_errors: Arc::new(AtomicU64::new(0)),
             connects: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(Mutex::new(Vec::new())),
-        }
+        };
+        Endpoint { peers, inbox }
     }
 
     /// A fault-injection handle sharing this pool's connection registry.
     pub fn faults(&self) -> PoolFaults {
         PoolFaults {
-            registry: Arc::clone(&self.registry),
-            connects: Arc::clone(&self.connects),
+            registry: Arc::clone(&self.peers.registry),
+            connects: Arc::clone(&self.peers.connects),
         }
     }
 
     /// Count of connections dropped for receiving undecodable bytes.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.peers.decode_errors.load(Ordering::Relaxed)
     }
+}
 
-    /// Count of envelopes dropped because the inbox was full.
-    pub fn dropped(&self) -> u64 {
-        self.inbox.dropped()
-    }
-
+impl PoolPeers {
     /// Connects to `server`; `queued` — frames its last connection never got out — goes first.
     fn connect(&mut self, server: usize, queued: Vec<u8>) -> Result<Conn, NetError> {
         let mut backoff = BASE_BACKOFF;
@@ -408,7 +391,7 @@ impl TcpClientTransport {
             };
             match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
                 Ok(stream) => {
-                    let inbox = self.inbox.sender();
+                    let inbox = self.inbox.clone();
                     let decode_errors = Arc::clone(&self.decode_errors);
                     let conn = Conn::open(stream, queued, decode_errors, move |_, env| {
                         inbox.deliver(env)
@@ -437,6 +420,21 @@ impl TcpClientTransport {
             _ => self.reconnect(server),
         }
     }
+}
+
+impl Peers for PoolPeers {
+    fn queue(&mut self, env: &Envelope) -> Result<usize, NetError> {
+        let NodeId::Server(ServerId(idx)) = env.to else {
+            // Clients only talk to servers; anything else is dropped.
+            return Ok(0);
+        };
+        let server = idx as usize;
+        let (queued, was_empty) = self.conn_for(server)?.queue(env);
+        if was_empty {
+            self.dirty.push(server);
+        }
+        Ok(queued)
+    }
 
     /// Writes every dirty connection. One that fails is replaced once and its frames re-sent
     /// (whole frames; the automata dedupe); a second failure leaves them to the retransmit timer.
@@ -452,32 +450,7 @@ impl TcpClientTransport {
     }
 }
 
-impl Transport for TcpClientTransport {
-    fn send(&mut self, env: &Envelope) -> Result<(), NetError> {
-        let NodeId::Server(ServerId(idx)) = env.to else {
-            // Clients only talk to servers; anything else is dropped.
-            return Ok(());
-        };
-        let server = idx as usize;
-        let (queued, was_empty) = self.conn_for(server)?.queue(env);
-        if was_empty {
-            self.dirty.push(server);
-        }
-        if queued >= FLUSH_BYTES || !self.inbox.more() {
-            self.flush();
-        }
-        Ok(())
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        if !self.dirty.is_empty() && !self.inbox.more() {
-            self.flush();
-        }
-        self.inbox.recv_timeout(timeout)
-    }
-}
-
-impl Drop for TcpClientTransport {
+impl Drop for PoolPeers {
     fn drop(&mut self) {
         for conn in self.conns.values() {
             let _ = conn.flush();
@@ -489,39 +462,19 @@ impl Drop for TcpClientTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::contract::{self, reply, request, wait_until, LATE, SOON};
+    use crate::transport::Transport;
     use shmem_sim::ClientId;
-    use std::time::Instant;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
     }
 
-    fn request(client: u32, payload: Vec<u8>) -> Envelope {
-        Envelope {
-            from: NodeId::Client(ClientId(client)),
-            to: NodeId::Server(ServerId(0)),
-            payload,
-        }
-    }
-
-    fn reply(client: u32, payload: Vec<u8>) -> Envelope {
-        Envelope {
-            from: NodeId::Server(ServerId(0)),
-            to: NodeId::Client(ClientId(client)),
-            payload,
-        }
-    }
-
-    const SOON: Duration = Duration::from_millis(50);
-    const LATE: Duration = Duration::from_secs(5);
-
-    /// Spins until `cond` holds; panics after five seconds.
-    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting until {what}");
-            thread::yield_now();
-        }
+    /// A server on loopback and a pool that knows it.
+    fn pair() -> (TcpServerTransport, TcpClientTransport) {
+        let server = TcpServerTransport::bind(loopback()).unwrap();
+        let client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
+        (server, client)
     }
 
     #[test]
@@ -645,69 +598,16 @@ mod tests {
         assert_eq!(server.recv_timeout(LATE).unwrap(), Some(second));
     }
 
-    /// Replies wait while the server still has input it has not taken,
-    /// and all leave, in order, when it finds its inbox drained.
     #[test]
     fn replies_leave_when_the_inbox_is_drained() {
-        let mut server = TcpServerTransport::bind(loopback()).unwrap();
-        let mut client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
-        for i in 0..3 {
-            client.send(&request(0, vec![i])).unwrap();
-        }
-        for i in 0..3 {
-            wait_until("the next request is in", || server.inbox.more());
-            let got = server.recv_timeout(LATE).unwrap();
-            assert_eq!(got, Some(request(0, vec![i])));
-            if i < 2 {
-                wait_until("the request after it is in", || server.inbox.more());
-            }
-            server.send(&reply(0, vec![10 + i])).unwrap();
-            if i < 2 {
-                assert_eq!(client.recv_timeout(SOON).unwrap(), None, "reply {i} waits");
-            }
-        }
-        for i in 0..3 {
-            let got = client.recv_timeout(LATE).unwrap();
-            assert_eq!(got, Some(reply(0, vec![10 + i])));
-        }
-
-        // A `recv_timeout` that finds the inbox drained releases them too.
-        for i in 0..2 {
-            client.send(&request(0, vec![i])).unwrap();
-        }
-        wait_until("the first request is in", || server.inbox.more());
-        server.recv_timeout(LATE).unwrap().expect("first request");
-        wait_until("the second request is in", || server.inbox.more());
-        server.send(&reply(0, vec![20])).unwrap();
-        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "reply waits");
-        server.recv_timeout(LATE).unwrap().expect("second request");
-        assert_eq!(server.recv_timeout(SOON).unwrap(), None);
-        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(0, vec![20])));
+        let (server, client) = pair();
+        contract::replies_leave_when_the_inbox_is_drained(server, client);
     }
 
-    /// With input pending, a connection's queue still leaves once
-    /// [`FLUSH_BYTES`] are on it.
     #[test]
     fn a_full_queue_is_written_without_waiting() {
-        let mut server = TcpServerTransport::bind(loopback()).unwrap();
-        let mut client = TcpClientTransport::new(addr_table(vec![server.local_addr()]));
-        for i in 0..2 {
-            client.send(&request(0, vec![i])).unwrap();
-        }
-        wait_until("the first request is in", || server.inbox.more());
-        server.recv_timeout(LATE).unwrap().expect("first request");
-        wait_until("the second request is in", || server.inbox.more());
-
-        let big = reply(0, vec![0xab; FLUSH_BYTES / 4]);
-        for _ in 0..3 {
-            server.send(&big).unwrap();
-        }
-        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "under the bound");
-        server.send(&big).unwrap();
-        for _ in 0..4 {
-            assert_eq!(client.recv_timeout(LATE).unwrap().as_ref(), Some(&big));
-        }
-        assert!(server.inbox.more(), "the second request was never taken");
+        let (server, client) = pair();
+        contract::a_full_queue_is_written_without_waiting(server, client);
     }
 
     /// One `read` may carry a good frame and garbage behind it: the frame
@@ -767,7 +667,7 @@ mod tests {
             .unwrap();
         wait_until("the garbage is counted", || client.decode_errors() == 1);
         wait_until("the connection is given up", || {
-            !client.conns[&0].alive.load(Ordering::Acquire)
+            !client.peers.conns[&0].alive.load(Ordering::Acquire)
         });
         assert_eq!(client.recv_timeout(SOON).unwrap(), None);
 
@@ -802,15 +702,15 @@ mod tests {
             let got = server.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(got.as_ref(), Some(&env), "cycle {cycle}");
             let held = (
-                client.registry.lock().unwrap().len(),
-                server.shared.conns.lock().unwrap().len(),
+                client.peers.registry.lock().unwrap().len(),
+                server.peers.shared.conns.lock().unwrap().len(),
             );
             assert!(held.0 <= 2 && held.1 <= 2, "cycle {cycle}: {held:?} held");
             faults.sever_all();
             // The server's reader sees the reset on its own schedule;
             // once it has, the next accept has nothing live to keep.
             wait_until("the server notices the reset", || {
-                live(&server.shared.conns) == 0
+                live(&server.peers.shared.conns) == 0
             });
         }
         assert_eq!(faults.connects(), 200);

@@ -5,8 +5,8 @@
 //! workers, the load generator — is backend-agnostic. Two backends
 //! ship:
 //!
-//! * [`InProcHub`] (this module): lock-free-ish in-process routing over
-//!   `mpsc` channels. Zero syscalls; the differential baseline.
+//! * [`InProcHub`] (this module): the differential baseline, routing
+//!   through one locked table into `mpsc` inboxes; a wake-up is a futex call.
 //! * [`crate::tcp`]: real TCP sockets with the [`crate::frame`] format,
 //!   per-connection reader threads, and a reconnecting pool.
 //!
@@ -16,10 +16,10 @@
 //! client layer adds retransmission on top, and the protocol state
 //! machines dedupe via their `heard` sets.
 //!
-//! Every endpoint of either backend receives into the same bounded
-//! inbox: at `INBOX_BOUND` untaken envelopes the newest is dropped and
-//! counted (`dropped()`) — the model's message loss, which the
-//! retransmit timer covers.
+//! Every endpoint of either backend is an [`Endpoint`]: one delivery
+//! rule and one bounded inbox — at `INBOX_BOUND` untaken envelopes the
+//! newest is dropped and counted (`dropped()`), the model's message loss,
+//! which the retransmit timer covers.
 
 use crate::error::NetError;
 pub use crate::frame::Envelope;
@@ -37,10 +37,8 @@ use std::time::Duration;
 pub trait Transport: Send {
     /// Sends `env` towards `env.to`. Best-effort: `Ok(())` means the
     /// transport accepted the message, not that the peer will see it.
-    /// A backend may hold an accepted message back while the endpoint's
-    /// own inbox still has an envelope its owner has not taken, and
-    /// releases it at the first `send` or `recv_timeout` that finds the
-    /// inbox drained — always before the owner blocks.
+    /// An [`Endpoint`] may hold an accepted message back while its owner
+    /// has input left to read, and releases it before the owner blocks.
     ///
     /// # Errors
     ///
@@ -60,6 +58,9 @@ pub trait Transport: Send {
 
 /// Undelivered envelopes an inbox holds before it drops the newest.
 const INBOX_BOUND: usize = 65_536;
+
+/// Bytes on one queue at which `send` hands them over though input is pending.
+const FLUSH_BYTES: usize = 32 << 10;
 
 /// Statistics only: neither counter publishes other data, so `Relaxed`.
 #[derive(Default)]
@@ -124,8 +125,7 @@ impl Inbox {
         self.ahead.is_some()
     }
 
-    /// [`Transport::recv_timeout`] over this inbox.
-    pub(crate) fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
         if let Some(env) = self.ahead.take() {
             return Ok(Some(env));
         }
@@ -135,10 +135,48 @@ impl Inbox {
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Shutdown),
         }
     }
+}
 
-    /// Envelopes dropped at the bound so far.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.tx.counters.dropped.load(Ordering::Relaxed)
+/// What a backend does below the delivery rule.
+pub(crate) trait Peers: Send {
+    /// Queues `env` towards its peer: the bytes now on the queue it joined, or `send`'s error.
+    fn queue(&mut self, env: &Envelope) -> Result<usize, NetError>;
+    /// Hands over everything queued, to every peer or to none.
+    fn flush(&mut self);
+}
+
+/// One endpoint of either backend, and the delivery rule they share: what
+/// an endpoint sent leaves when it has nothing left to read. `send` queues
+/// with the backend; the queues leave, to every peer or none, at the first
+/// `send` or `recv_timeout` that finds the inbox drained — always before the
+/// owner blocks — or at once when `FLUSH_BYTES` wait on one (DESIGN §4.10).
+pub struct Endpoint<P> {
+    /// Declared before `inbox`, so a backend's `Drop` hands over what is
+    /// queued while the inbox its reader threads deliver into still exists.
+    pub(crate) peers: P,
+    pub(crate) inbox: Inbox,
+}
+
+impl<P> Endpoint<P> {
+    /// Count of envelopes dropped because this endpoint's inbox was full.
+    pub fn dropped(&self) -> u64 {
+        self.inbox.tx.counters.dropped.load(Ordering::Relaxed)
+    }
+}
+
+impl<P: Peers> Transport for Endpoint<P> {
+    fn send(&mut self, env: &Envelope) -> Result<(), NetError> {
+        if self.peers.queue(env)? >= FLUSH_BYTES || !self.inbox.more() {
+            self.peers.flush();
+        }
+        Ok(())
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
+        if !self.inbox.more() {
+            self.peers.flush();
+        }
+        self.inbox.recv_timeout(timeout)
     }
 }
 
@@ -171,10 +209,13 @@ impl InProcHub {
         for &id in ids {
             routes.insert(id, inbox.sender());
         }
-        InProcEndpoint {
-            routes: Arc::clone(&self.routes),
-            inbox,
-        }
+        let routes = Arc::clone(&self.routes);
+        let peers = HubPeers {
+            routes,
+            queued: Vec::new(),
+            bytes: 0,
+        };
+        Endpoint { peers, inbox }
     }
 
     /// Removes `id`'s route: subsequent sends to it vanish silently
@@ -185,37 +226,152 @@ impl InProcHub {
     }
 }
 
-/// One endpoint of an [`InProcHub`].
-pub struct InProcEndpoint {
+/// The hub's side of an [`InProcEndpoint`]: envelopes sent and not yet handed over.
+pub struct HubPeers {
     routes: Routes,
-    inbox: Inbox,
+    queued: Vec<Envelope>,
+    bytes: usize,
 }
 
-impl InProcEndpoint {
-    /// Count of envelopes dropped because this endpoint's inbox was full.
-    pub fn dropped(&self) -> u64 {
-        self.inbox.dropped()
+impl Peers for HubPeers {
+    fn queue(&mut self, env: &Envelope) -> Result<usize, NetError> {
+        self.bytes += env.payload.len();
+        self.queued.push(env.clone());
+        Ok(self.bytes)
     }
-}
 
-impl Transport for InProcEndpoint {
-    fn send(&mut self, env: &Envelope) -> Result<(), NetError> {
+    /// In queue order, under one lock of the route table; the queue keeps its capacity.
+    fn flush(&mut self) {
+        if self.queued.is_empty() {
+            return;
+        }
         let routes = self.routes.lock().expect("hub routes poisoned");
-        if let Some(tx) = routes.get(&env.to) {
+        for env in self.queued.drain(..) {
             // A dead receiver is a crashed peer: drop the message, as a
             // real network would.
-            tx.deliver(env.clone());
+            if let Some(tx) = routes.get(&env.to) {
+                tx.deliver(env);
+            }
         }
-        Ok(())
+        self.bytes = 0;
+    }
+}
+
+impl Drop for HubPeers {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// One endpoint of an [`InProcHub`].
+pub type InProcEndpoint = Endpoint<HubPeers>;
+
+#[cfg(test)]
+/// The delivery rule's contract over any server/client endpoint pair:
+/// `tcp.rs`' tests run it over sockets, the tests below over the hub.
+pub(crate) mod contract {
+    use super::*;
+    use shmem_sim::{ClientId, ServerId};
+    use std::thread;
+    use std::time::Instant;
+
+    pub(crate) const SOON: Duration = Duration::from_millis(50);
+    pub(crate) const LATE: Duration = Duration::from_secs(5);
+
+    pub(crate) fn request(client: u32, payload: Vec<u8>) -> Envelope {
+        Envelope {
+            from: NodeId::Client(ClientId(client)),
+            to: NodeId::Server(ServerId(0)),
+            payload,
+        }
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
-        self.inbox.recv_timeout(timeout)
+    pub(crate) fn reply(client: u32, payload: Vec<u8>) -> Envelope {
+        Envelope {
+            from: NodeId::Server(ServerId(0)),
+            to: NodeId::Client(ClientId(client)),
+            payload,
+        }
+    }
+
+    /// Spins until `cond` holds; panics after five seconds.
+    pub(crate) fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::yield_now();
+        }
+    }
+
+    /// Replies wait while the server still has input it has not taken,
+    /// and all leave, in order, when it finds its inbox drained.
+    pub(crate) fn replies_leave_when_the_inbox_is_drained<S: Peers, C: Peers>(
+        mut server: Endpoint<S>,
+        mut client: Endpoint<C>,
+    ) {
+        for i in 0..3 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        for i in 0..3 {
+            wait_until("the next request is in", || server.inbox.more());
+            let got = server.recv_timeout(LATE).unwrap();
+            assert_eq!(got, Some(request(0, vec![i])));
+            if i < 2 {
+                wait_until("the request after it is in", || server.inbox.more());
+            }
+            server.send(&reply(0, vec![10 + i])).unwrap();
+            if i < 2 {
+                assert_eq!(client.recv_timeout(SOON).unwrap(), None, "reply {i} waits");
+            }
+        }
+        for i in 0..3 {
+            let got = client.recv_timeout(LATE).unwrap();
+            assert_eq!(got, Some(reply(0, vec![10 + i])));
+        }
+
+        // A `recv_timeout` that finds the inbox drained releases them too.
+        for i in 0..2 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        wait_until("the first request is in", || server.inbox.more());
+        server.recv_timeout(LATE).unwrap().expect("first request");
+        wait_until("the second request is in", || server.inbox.more());
+        server.send(&reply(0, vec![20])).unwrap();
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "reply waits");
+        server.recv_timeout(LATE).unwrap().expect("second request");
+        assert_eq!(server.recv_timeout(SOON).unwrap(), None);
+        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(0, vec![20])));
+    }
+
+    /// With input pending, a queue still leaves once [`FLUSH_BYTES`] are
+    /// on it.
+    pub(crate) fn a_full_queue_is_written_without_waiting<S: Peers, C: Peers>(
+        mut server: Endpoint<S>,
+        mut client: Endpoint<C>,
+    ) {
+        for i in 0..2 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        wait_until("the first request is in", || server.inbox.more());
+        server.recv_timeout(LATE).unwrap().expect("first request");
+        wait_until("the second request is in", || server.inbox.more());
+
+        let big = reply(0, vec![0xab; FLUSH_BYTES / 4]);
+        for _ in 0..3 {
+            server.send(&big).unwrap();
+        }
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "under the bound");
+        server.send(&big).unwrap();
+        for _ in 0..4 {
+            assert_eq!(client.recv_timeout(LATE).unwrap().as_ref(), Some(&big));
+        }
+        assert!(server.inbox.more(), "the second request was never taken");
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::contract::{self, reply, request, LATE, SOON};
     use super::*;
     use shmem_sim::{ClientId, ServerId};
 
@@ -225,6 +381,12 @@ mod tests {
 
     fn client(n: u32) -> NodeId {
         NodeId::Client(ClientId(n))
+    }
+
+    /// Server 0 and client 0 on a fresh hub.
+    fn pair() -> (InProcEndpoint, InProcEndpoint) {
+        let hub = InProcHub::new();
+        (hub.endpoint(&[server(0)]), hub.endpoint(&[client(0)]))
     }
 
     #[test]
@@ -290,5 +452,37 @@ mod tests {
         })
         .unwrap();
         assert!(b.inbox.more());
+    }
+
+    #[test]
+    fn replies_leave_when_the_inbox_is_drained() {
+        let (server, client) = pair();
+        contract::replies_leave_when_the_inbox_is_drained(server, client);
+    }
+
+    #[test]
+    fn a_full_queue_is_written_without_waiting() {
+        let (server, client) = pair();
+        contract::a_full_queue_is_written_without_waiting(server, client);
+    }
+
+    /// A dropped endpoint hands over what it had queued, as a TCP
+    /// endpoint's `Drop` writes it.
+    #[test]
+    fn dropping_an_endpoint_delivers_what_it_queued() {
+        let (mut server, mut client) = pair();
+        for i in 0..2 {
+            client.send(&request(0, vec![i])).unwrap();
+        }
+        assert_eq!(
+            server.recv_timeout(LATE).unwrap(),
+            Some(request(0, vec![0]))
+        );
+        assert!(server.inbox.more(), "the second request is in");
+        server.send(&reply(0, vec![10])).unwrap();
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "the reply waits");
+        drop(server);
+        assert_eq!(client.recv_timeout(LATE).unwrap(), Some(reply(0, vec![10])));
+        assert_eq!(client.recv_timeout(SOON).unwrap(), None, "delivered once");
     }
 }

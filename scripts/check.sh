@@ -45,6 +45,22 @@ if [ "$(cat crates/net/src/*.rs | grep -c "mpsc::channel")" != 1 ]; then
   exit 1
 fi
 
+echo "==> one delivery rule: every endpoint is transport.rs' Endpoint, whatever its backend"
+for f in $(find crates/net/src -name '*.rs' ! -path crates/net/src/transport.rs); do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n "\.more()"; then
+    echo "$f looks ahead in an inbox; when to hand over is decided in transport.rs alone" >&2
+    exit 1
+  fi
+done
+if [ "$(grep -rh "const FLUSH_BYTES" crates/net/src | wc -l)" != 1 ]; then
+  echo "FLUSH_BYTES must be defined once under crates/net/src (transport.rs)" >&2
+  exit 1
+fi
+if grep -n "Transport for" crates/net/src/tcp.rs; then
+  echo "crates/net/src/tcp.rs implements Transport; a TCP endpoint is an Endpoint over its queues" >&2
+  exit 1
+fi
+
 echo "==> one serve loop: a server is one automaton on one thread"
 if sed '/#\[cfg(test)\]/,$d' crates/net/src/serve.rs | grep -n "thread::\|Condvar\|mpsc"; then
   echo "crates/net/src/serve.rs names a thread or a queue; serve_until is the one loop" >&2
