@@ -43,14 +43,14 @@ const WRITES: u32 = 50;
 const CELLS: &[(u32, u32, u32, bool, f64)] = &[
     (5, 2, 0, false, 6.0),
     (21, 10, 0, false, 6.0),
-    (21, 10, 0, true, 18.0),
+    (21, 10, 0, true, 10.0),
     (21, 10, 100, false, 8.0),
 ];
 /// Limit for the batched multi-key cell: a Zipf batch-16 workload over a
 /// metered two-shard sharded ABD keyspace (see `shardperf_cell`).
 const SHARD_LIMIT: f64 = 140.0;
 /// Limit on metered ÷ plain at n = 21: what full metering may cost.
-const METERED_OVER_PLAIN: f64 = 6.0;
+const METERED_OVER_PLAIN: f64 = 3.0;
 /// Limit on n = 21 ÷ n = 5, plain: a step must not grow with the cluster.
 const N21_OVER_N5: f64 = 2.0;
 /// Floor on striped store at 4 threads ÷ `LocalAbd` at 1, ops/s. Sharing

@@ -11,7 +11,8 @@
 //! Three invariants shape the design:
 //!
 //! 1. **Determinism.** Every count is a pure function of the execution,
-//!    containers iterate in fixed (`BTreeMap`) order, and the export is a
+//!    per-channel ledgers sit in the channel table's row order (ascending
+//!    `(from, to)`), and the export is a
 //!    byte-stable [`Json`] document: two runs with equal inputs export
 //!    identical bytes, and merged per-seed registries are worker-count
 //!    invariant (merging is commutative and associative, and callers merge
@@ -42,7 +43,6 @@
 
 use crate::ids::NodeId;
 use shmem_util::json::Json;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// How much the simulator meters.
@@ -300,7 +300,10 @@ pub struct MetricsRegistry {
     reads_failed_detect: u64,
     server_sent: Vec<u64>,
     server_recv: Vec<u64>,
-    per_channel: BTreeMap<(NodeId, NodeId), ChannelLedger>,
+    /// One ledger per row of the world's channel table, in the same
+    /// ascending `(from, to)` order, so a hook indexes the row the
+    /// simulator already holds.
+    per_channel: Vec<((NodeId, NodeId), ChannelLedger)>,
     op_latency: Histogram,
     queue_depth: Histogram,
 }
@@ -314,6 +317,16 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry at `level` for a world of `servers` servers.
     pub fn new(level: MetricsLevel, servers: usize) -> MetricsRegistry {
+        MetricsRegistry::with_rows(level, servers, &[])
+    }
+
+    /// An empty registry with one zeroed ledger per channel-table row
+    /// (`rows` ascending) — sized once, when a world switches metering on.
+    pub(crate) fn with_rows(
+        level: MetricsLevel,
+        servers: usize,
+        rows: &[(NodeId, NodeId)],
+    ) -> MetricsRegistry {
         MetricsRegistry {
             level,
             global: ChannelLedger::default(),
@@ -323,7 +336,10 @@ impl MetricsRegistry {
             reads_failed_detect: 0,
             server_sent: vec![0; servers],
             server_recv: vec![0; servers],
-            per_channel: BTreeMap::new(),
+            per_channel: rows
+                .iter()
+                .map(|&k| (k, ChannelLedger::default()))
+                .collect(),
             op_latency: Histogram::new(),
             queue_depth: Histogram::new(),
         }
@@ -374,8 +390,10 @@ impl MetricsRegistry {
         &self.server_recv
     }
 
-    /// Per-channel ledgers, in deterministic channel order.
-    pub fn per_channel(&self) -> &BTreeMap<(NodeId, NodeId), ChannelLedger> {
+    /// Per-channel ledgers in ascending `(from, to)` order: a world's
+    /// registry holds one per channel-table row, zero where nothing was
+    /// booked.
+    pub fn per_channel(&self) -> &[((NodeId, NodeId), ChannelLedger)] {
         &self.per_channel
     }
 
@@ -391,10 +409,18 @@ impl MetricsRegistry {
         &self.queue_depth
     }
 
-    pub(crate) fn on_sent(&mut self, from: NodeId, to: NodeId, bytes: u64, depth_after: u64) {
+    /// Books a row the channel table inserted at `row` (a channel outside
+    /// the pre-built mesh, created by its first send).
+    pub(crate) fn insert_row(&mut self, row: usize, key: (NodeId, NodeId)) {
+        self.per_channel
+            .insert(row, (key, ChannelLedger::default()));
+    }
+
+    pub(crate) fn on_sent(&mut self, row: usize, bytes: u64, depth_after: u64) {
         self.global.sent += 1;
         self.wire_bytes += bytes;
-        self.per_channel.entry((from, to)).or_default().sent += 1;
+        let ((from, _), ledger) = &mut self.per_channel[row];
+        ledger.sent += 1;
         if let NodeId::Server(s) = from {
             self.server_sent[s.0 as usize] += 1;
         }
@@ -403,27 +429,28 @@ impl MetricsRegistry {
         }
     }
 
-    pub(crate) fn on_delivered(&mut self, from: NodeId, to: NodeId) {
+    pub(crate) fn on_delivered(&mut self, row: usize) {
         self.global.delivered += 1;
-        self.per_channel.entry((from, to)).or_default().delivered += 1;
+        let ((_, to), ledger) = &mut self.per_channel[row];
+        ledger.delivered += 1;
         if let NodeId::Server(s) = to {
             self.server_recv[s.0 as usize] += 1;
         }
     }
 
-    pub(crate) fn on_dropped(&mut self, from: NodeId, to: NodeId) {
+    pub(crate) fn on_dropped(&mut self, row: usize) {
         self.global.dropped += 1;
-        self.per_channel.entry((from, to)).or_default().dropped += 1;
+        self.per_channel[row].1.dropped += 1;
     }
 
-    pub(crate) fn on_duplicated(&mut self, from: NodeId, to: NodeId) {
+    pub(crate) fn on_duplicated(&mut self, row: usize) {
         self.global.duplicated += 1;
-        self.per_channel.entry((from, to)).or_default().duplicated += 1;
+        self.per_channel[row].1.duplicated += 1;
     }
 
-    pub(crate) fn on_purged(&mut self, from: NodeId, to: NodeId, count: u64) {
+    pub(crate) fn on_purged(&mut self, row: usize, count: u64) {
         self.global.purged += count;
-        self.per_channel.entry((from, to)).or_default().purged += count;
+        self.per_channel[row].1.purged += count;
     }
 
     pub(crate) fn on_op_started(&mut self) {
@@ -441,15 +468,14 @@ impl MetricsRegistry {
         self.reads_failed_detect += count;
     }
 
-    pub(crate) fn baseline_in_flight(&mut self, from: NodeId, to: NodeId, count: u64) {
-        if count > 0 {
-            self.global.baseline += count;
-            self.per_channel.entry((from, to)).or_default().baseline += count;
-        }
+    pub(crate) fn baseline_in_flight(&mut self, row: usize, count: u64) {
+        self.global.baseline += count;
+        self.per_channel[row].1.baseline += count;
     }
 
     /// Merges another registry into this one (counters add, histograms add
-    /// bucket-wise, per-server vectors extend to the longer length). The
+    /// bucket-wise, per-server vectors extend to the longer length, ledgers
+    /// add channel by channel, so worlds of different shapes merge). The
     /// level becomes the more detailed of the two.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         self.level = self.level.max(other.level);
@@ -468,44 +494,36 @@ impl MetricsRegistry {
         for (i, &v) in other.server_recv.iter().enumerate() {
             self.server_recv[i] += v;
         }
-        for (&ch, ledger) in &other.per_channel {
-            self.per_channel.entry(ch).or_default().merge(ledger);
+        for (key, ledger) in &other.per_channel {
+            match self.per_channel.binary_search_by_key(key, |&(k, _)| k) {
+                Ok(i) => self.per_channel[i].1.merge(ledger),
+                Err(i) => self.per_channel.insert(i, (*key, *ledger)),
+            }
         }
         self.op_latency.merge(&other.op_latency);
         self.queue_depth.merge(&other.queue_depth);
     }
 
     /// Checks the conservation law per channel and globally against the
-    /// queue lengths the world holds right now.
+    /// queue lengths the world holds right now, `queued[r]` for the
+    /// channel of ledger row `r` (missing entries count as empty).
     ///
     /// # Errors
     ///
     /// The first imbalanced channel (in channel order), or the global
     /// imbalance, as a [`ConservationError`].
-    pub fn check_conservation(
-        &self,
-        queued: &BTreeMap<(NodeId, NodeId), u64>,
-    ) -> Result<(), ConservationError> {
-        let empty = ChannelLedger::default();
-        let mut keys: Vec<(NodeId, NodeId)> = self.per_channel.keys().copied().collect();
-        for k in queued.keys() {
-            if !self.per_channel.contains_key(k) {
-                keys.push(*k);
-            }
-        }
-        keys.sort_unstable();
-        for key in keys {
-            let ledger = self.per_channel.get(&key).unwrap_or(&empty);
-            let q = queued.get(&key).copied().unwrap_or(0);
+    pub fn check_conservation(&self, queued: &[u32]) -> Result<(), ConservationError> {
+        for (r, &(key, ledger)) in self.per_channel.iter().enumerate() {
+            let q = u64::from(queued.get(r).copied().unwrap_or(0));
             if !ledger.balances_with(q) {
                 return Err(ConservationError {
                     channel: Some(key),
-                    ledger: *ledger,
+                    ledger,
                     queued: q,
                 });
             }
         }
-        let total_queued: u64 = queued.values().sum();
+        let total_queued: u64 = queued.iter().map(|&q| u64::from(q)).sum();
         if !self.global.balances_with(total_queued) {
             return Err(ConservationError {
                 channel: None,
@@ -517,8 +535,9 @@ impl MetricsRegistry {
     }
 
     /// The byte-stable JSON export (schema `shmem-metrics/v1`). Key order
-    /// is fixed and channels render in `BTreeMap` order, so equal
-    /// registries export equal bytes.
+    /// is fixed and channels render in ascending `(from, to)` order, those
+    /// with nothing booked left out, so equal registries export equal
+    /// bytes.
     pub fn to_json(&self) -> Json {
         let mut counters = vec![];
         self.global.to_json_fields(&mut counters);
@@ -549,7 +568,8 @@ impl MetricsRegistry {
         let per_channel = self
             .per_channel
             .iter()
-            .map(|(&(from, to), ledger)| {
+            .filter(|(_, ledger)| *ledger != ChannelLedger::default())
+            .map(|&((from, to), ledger)| {
                 let mut fields = vec![
                     ("from".to_string(), Json::str(from.to_string())),
                     ("to".to_string(), Json::str(to.to_string())),
@@ -720,13 +740,13 @@ mod tests {
     #[test]
     fn registry_merge_and_conservation() {
         let ch = (NodeId::client(0), NodeId::server(1));
-        let mut a = MetricsRegistry::new(MetricsLevel::Full, 2);
-        a.on_sent(ch.0, ch.1, 16, 1);
-        a.on_sent(ch.0, ch.1, 16, 2);
-        a.on_delivered(ch.0, ch.1);
-        let mut b = MetricsRegistry::new(MetricsLevel::Full, 2);
-        b.on_sent(ch.0, ch.1, 16, 1);
-        b.on_dropped(ch.0, ch.1);
+        let mut a = MetricsRegistry::with_rows(MetricsLevel::Full, 2, &[ch]);
+        a.on_sent(0, 16, 1);
+        a.on_sent(0, 16, 2);
+        a.on_delivered(0);
+        let mut b = MetricsRegistry::with_rows(MetricsLevel::Full, 2, &[ch]);
+        b.on_sent(0, 16, 1);
+        b.on_dropped(0);
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.global().sent, 3);
@@ -734,17 +754,18 @@ mod tests {
         assert_eq!(m.global().dropped, 1);
         assert_eq!(m.wire_bytes(), 48);
         // One message of `a`'s still queued; `b`'s was dropped.
-        let queued = BTreeMap::from([(ch, 1u64)]);
+        let queued = [1u32];
         assert!(m.check_conservation(&queued).is_ok());
-        assert!(m.check_conservation(&BTreeMap::new()).is_err());
+        assert!(m.check_conservation(&[]).is_err());
     }
 
     #[test]
     fn export_is_deterministic() {
         let build = || {
-            let mut r = MetricsRegistry::new(MetricsLevel::Full, 2);
-            r.on_sent(NodeId::client(0), NodeId::server(0), 8, 1);
-            r.on_delivered(NodeId::client(0), NodeId::server(0));
+            let ch = (NodeId::client(0), NodeId::server(0));
+            let mut r = MetricsRegistry::with_rows(MetricsLevel::Full, 2, &[ch]);
+            r.on_sent(0, 8, 1);
+            r.on_delivered(0);
             r.on_op_started();
             r.on_op_completed(12);
             r.to_json().to_compact()
@@ -758,12 +779,13 @@ mod tests {
 
     #[test]
     fn conservation_error_reports_channel() {
-        let mut r = MetricsRegistry::new(MetricsLevel::Off, 1);
-        r.on_sent(NodeId::client(0), NodeId::server(0), 8, 1);
+        let ch = (NodeId::client(0), NodeId::server(0));
+        let mut r = MetricsRegistry::with_rows(MetricsLevel::Off, 1, &[ch]);
+        r.on_sent(0, 8, 1);
         // Below `Full` a hook that is called anyway keeps its ledger and
         // leaves the histograms alone.
         assert_eq!(r.queue_depth().count(), 0);
-        let err = r.check_conservation(&BTreeMap::new()).unwrap_err();
+        let err = r.check_conservation(&[]).unwrap_err();
         assert_eq!(err.channel, Some((NodeId::client(0), NodeId::server(0))));
         let text = err.to_string();
         assert!(text.contains("c0 -> s0"), "{text}");

@@ -45,10 +45,9 @@ impl<P: Protocol> Sim<P> {
             .collect();
         if self.metrics_level() != crate::metrics::MetricsLevel::Off {
             for &r in &purged {
-                let (from, to) = self.channels.keys[r];
                 let count = u64::from(self.channels.len[r]);
                 if let Some(m) = self.metrics_mut() {
-                    m.on_purged(from, to, count);
+                    m.on_purged(r, count);
                 }
             }
         }

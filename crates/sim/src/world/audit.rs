@@ -9,11 +9,9 @@
 //! world actually holds.
 
 use super::Sim;
-use crate::ids::NodeId;
 use crate::metrics::{ConservationError, MetricsLevel, MetricsRegistry};
 use crate::node::Protocol;
 use shmem_util::json::Json;
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// The registry [`Sim::metrics`] returns while metering is off: one
@@ -58,12 +56,10 @@ impl<P: Protocol> Sim<P> {
     /// call. Per-server counters restart at zero.
     pub fn set_metrics(&mut self, level: MetricsLevel) {
         self.metrics = (level != MetricsLevel::Off).then(|| {
-            let mut reg = MetricsRegistry::new(level, self.servers.len());
             let t = &*self.channels;
+            let mut reg = MetricsRegistry::with_rows(level, self.servers.len(), &t.keys);
             for row in t.nonempty.iter() {
-                let r = row as usize;
-                let (from, to) = t.keys[r];
-                reg.baseline_in_flight(from, to, u64::from(t.len[r]));
+                reg.baseline_in_flight(row as usize, u64::from(t.len[row as usize]));
             }
             Arc::new(reg)
         });
@@ -109,16 +105,7 @@ impl<P: Protocol> Sim<P> {
         if self.metrics_level == MetricsLevel::Off {
             return Ok(());
         }
-        let t = &*self.channels;
-        let queued: BTreeMap<(NodeId, NodeId), u64> = t
-            .nonempty
-            .iter()
-            .map(|row| {
-                let r = row as usize;
-                (t.keys[r], u64::from(t.len[r]))
-            })
-            .collect();
-        self.metrics().check_conservation(&queued)
+        self.metrics().check_conservation(&self.channels.len)
     }
 
     /// The registry's byte-stable JSON export plus a `gauges` object with

@@ -104,7 +104,7 @@ impl<P: Protocol> Sim<P> {
         self.mark_chan_dirty(row);
         Arc::make_mut(&mut self.channels).pop_front(row);
         if let Some(m) = self.metrics_mut() {
-            m.on_dropped(from, to);
+            m.on_dropped(row);
         }
         self.cover(super::cover::kind::DROP, from, to, 0);
         Ok(StepInfo::Dropped { from, to })
@@ -134,7 +134,7 @@ impl<P: Protocol> Sim<P> {
         let copy = t.arena.get(t.head[row]).clone();
         t.push_back(row, copy, now);
         if let Some(m) = self.metrics_mut() {
-            m.on_duplicated(from, to);
+            m.on_duplicated(row);
         }
         self.cover(super::cover::kind::DUPLICATE, from, to, 0);
         Ok(StepInfo::Duplicated { from, to })

@@ -244,9 +244,8 @@ impl<P: Protocol> Sim<P> {
             ops: Arc::new(Vec::new()),
             meter: Arc::new(StorageMeter::new(n)),
             meter_pending_ticks: 0,
-            metrics: (config.metrics != MetricsLevel::Off)
-                .then(|| Arc::new(MetricsRegistry::new(config.metrics, n))),
-            metrics_level: config.metrics,
+            metrics: None,
+            metrics_level: MetricsLevel::Off,
             coverage: config.coverage.then(|| Arc::new(CoverageMap::new())),
             coverage_on: config.coverage,
             send_log: None,
@@ -261,6 +260,7 @@ impl<P: Protocol> Sim<P> {
             scratch_options: Vec::new(),
             scratch_weighted: Vec::new(),
         };
+        sim.set_metrics(config.metrics);
         for (id, ctx) in startup {
             sim.apply_effects(id, ctx);
         }

@@ -1041,6 +1041,93 @@ mod conservation {
         assert_eq!(back.get("level").unwrap().as_str(), Some("full"));
     }
 
+    /// A client that mails itself before asking server 0, and answers
+    /// when its own mail arrives: its first send creates a channel
+    /// outside the pre-built client↔server mesh.
+    struct Loopback;
+
+    impl Protocol for Loopback {
+        type Msg = u32;
+        type Inv = u32;
+        type Resp = u32;
+        type Server = Echo;
+        type Client = SelfMailer;
+    }
+
+    #[derive(Clone, Default)]
+    struct Echo;
+
+    impl Node<Loopback> for Echo {
+        fn on_message(&mut self, from: NodeId, m: u32, ctx: &mut Ctx<Loopback>) {
+            ctx.send(from, m);
+        }
+        fn digest(&self) -> u64 {
+            0
+        }
+    }
+
+    #[derive(Clone, Default)]
+    struct SelfMailer;
+
+    impl Node<Loopback> for SelfMailer {
+        fn on_invoke(&mut self, v: u32, ctx: &mut Ctx<Loopback>) {
+            ctx.send(ctx.me(), v);
+            ctx.send(NodeId::server(0), v);
+        }
+        fn on_message(&mut self, from: NodeId, m: u32, ctx: &mut Ctx<Loopback>) {
+            if from == ctx.me() {
+                ctx.respond(m);
+            }
+        }
+        fn digest(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_channel_created_by_its_first_send_is_metered_on_its_own_row() {
+        let mut sim = Sim::<Loopback>::new(
+            SimConfig::default().metrics(MetricsLevel::Full),
+            vec![Echo; 2],
+            vec![SelfMailer; 2],
+        );
+        let (c0, c1) = (NodeId::client(0), NodeId::client(1));
+        // Cut before the channel exists: its row must start cut.
+        sim.cut_link(c0, c0);
+        // `c0 → c0` sorts before the `c1 → s*` rows, so its insertion
+        // shifts rows the registry already tracks: c1's sends must still
+        // book on their own rows.
+        sim.invoke(ClientId(0), 7).unwrap();
+        sim.invoke(ClientId(1), 8).unwrap();
+        assert_eq!(sim.held_messages(), 1);
+        sim.audit_conservation().unwrap();
+        sim.run_to_quiescence().unwrap();
+        assert!(sim.has_open_op(ClientId(0)), "c0's own mail is held");
+        assert!(!sim.has_open_op(ClientId(1)));
+        sim.heal_link(c0, c0);
+        sim.run_to_quiescence().unwrap();
+        assert!(!sim.has_open_op(ClientId(0)));
+        let booked: Vec<_> = sim
+            .metrics()
+            .per_channel()
+            .iter()
+            .filter(|(_, l)| l.sent > 0)
+            .map(|&(ch, l)| (ch, l.sent, l.delivered))
+            .collect();
+        let s0 = NodeId::server(0);
+        assert_eq!(
+            booked,
+            vec![
+                ((s0, c0), 1, 1),
+                ((s0, c1), 1, 1),
+                ((c0, s0), 1, 1),
+                ((c0, c0), 1, 1),
+                ((c1, s0), 1, 1),
+                ((c1, c1), 1, 1),
+            ]
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -71,6 +71,16 @@ if grep -rn "serve_shared\|start_pooled" crates tests examples; then
   exit 1
 fi
 
+echo "==> one send loop: a message enters a channel on one loop, metered or not"
+if [ "$(sed '/#\[cfg(test)\]/,$d' crates/sim/src/world/channels.rs | grep -c "push_back(")" != 1 ]; then
+  echo "crates/sim/src/world/channels.rs must name push_back( exactly once (apply_effects' send loop) before its tests" >&2
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/sim/src/metrics.rs | grep -n "BTreeMap<(NodeId, NodeId)\|\.entry("; then
+  echo "crates/sim/src/metrics.rs looks a ledger up by channel; ledgers are indexed by channel-table row (DESIGN §4.2)" >&2
+  exit 1
+fi
+
 echo "==> corrupt gate: 1000-seed acceptance sweep + cross-world differential (release)"
 cargo test --release -q --test corrupt_sweep --test corrupt_differential
 
