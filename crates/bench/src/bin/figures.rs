@@ -145,13 +145,9 @@ mod tests {
     }
 
     /// No table has a timed column, so rendering one twice in a process
-    /// gives the same bytes. The one scheduling-dependent cell left is
-    /// `tab-probe-cache`'s hit count (and the rate derived from it) at 4
-    /// workers — two workers racing on a fresh key may both miss — so
-    /// that table is compared on its other columns, `probes` and
-    /// `injective` among them. (`tab-nemesis`, `tab-corrupt` and
-    /// `tab-fuzz` have their own worker-invariance suites; `tab-net` runs
-    /// real threads and sockets, and its retransmit count may differ.)
+    /// gives the same bytes. (`tab-nemesis`, `tab-corrupt` and `tab-fuzz`
+    /// have their own worker-invariance suites; `tab-net` runs real
+    /// threads and sockets, and its retransmit count may differ.)
     #[test]
     fn tables_render_byte_identically_twice() {
         for id in [
@@ -167,17 +163,7 @@ mod tests {
             "tab-probe-cache",
         ] {
             let generate = generator(id).expect("registered id");
-            let render = || {
-                let mut t = generate();
-                if id == "tab-probe-cache" {
-                    assert_eq!(t.header[3..5], ["cache hits", "hit rate"]);
-                    t.header.drain(3..5);
-                    for row in &mut t.rows {
-                        row.drain(3..5);
-                    }
-                }
-                render_csv(&t)
-            };
+            let render = || render_csv(&generate());
             assert_eq!(render(), render(), "{id} differs between two renders");
         }
     }

@@ -15,7 +15,7 @@
 //! correct algorithms) and *measures* the per-server state-space footprint
 //! the theorems bound.
 
-use crate::critical::{find_critical_pair_with, CriticalError, CriticalPair};
+use crate::critical::{find_critical_pair_with, CriticalError};
 use crate::execution::AlphaExecution;
 use crate::probe::ProbeEngine;
 use shmem_algorithms::reg::{RegInv, RegResp};
@@ -74,30 +74,13 @@ pub fn singleton_counting<P, F>(
 ) -> SingletonReport
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    F: Fn() -> Sim<P> + Sync,
-{
-    singleton_counting_with(&ProbeEngine::sequential(), make_sim, writer, f, domain)
-}
-
-/// [`singleton_counting`] through a [`ProbeEngine`]: the per-value solo
-/// executions are independent, so they fan out over the engine's workers;
-/// the injectivity fold then walks the collected state vectors in domain
-/// order, making the report identical to the sequential one for any worker
-/// count.
-pub fn singleton_counting_with<P, F>(
-    engine: &ProbeEngine,
-    make_sim: F,
-    writer: ClientId,
-    f: u32,
-    domain: &[Value],
-) -> SingletonReport
-where
-    P: Protocol<Inv = RegInv, Resp = RegResp>,
-    F: Fn() -> Sim<P> + Sync,
+    F: Fn() -> Sim<P>,
 {
     assert!(domain.len() >= 2, "need at least two values to count");
-    let states: Vec<Vec<u64>> = engine.map(domain.len(), |i| {
-        let v = domain[i];
+    let mut vectors: BTreeMap<Vec<u64>, Value> = BTreeMap::new();
+    let mut collisions = Vec::new();
+    let mut per_position: Vec<BTreeSet<u64>> = Vec::new();
+    for &v in domain {
         let mut sim = make_sim();
         sim.fail_last_servers(f);
         sim.invoke(writer, RegInv::Write(v))
@@ -109,26 +92,20 @@ where
         sim.run_to_quiescence().expect("delivery terminates");
 
         let all = sim.server_digests();
-        (0..sim.server_count())
+        let surviving: Vec<u64> = (0..sim.server_count())
             .filter(|&s| !sim.is_failed(shmem_sim::NodeId::server(s as u32)))
             .map(|s| all[s])
-            .collect()
-    });
-
-    let mut vectors: BTreeMap<Vec<u64>, Value> = BTreeMap::new();
-    let mut collisions = Vec::new();
-    let mut per_position: Vec<BTreeSet<u64>> = Vec::new();
-    for (&v, surviving) in domain.iter().zip(&states) {
+            .collect();
         if per_position.is_empty() {
             per_position = vec![BTreeSet::new(); surviving.len()];
         }
-        for (slot, &d) in per_position.iter_mut().zip(surviving) {
+        for (slot, &d) in per_position.iter_mut().zip(&surviving) {
             slot.insert(d);
         }
-        if let Some(&prev) = vectors.get(surviving) {
+        if let Some(&prev) = vectors.get(&surviving) {
             collisions.push((prev, v));
         } else {
-            vectors.insert(surviving.clone(), v);
+            vectors.insert(surviving, v);
         }
     }
 
@@ -202,11 +179,10 @@ pub fn pairwise_counting<P, F>(
 ) -> CountingReport
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    F: Fn() -> Sim<P> + Sync,
-    Sim<P>: Send + Sync,
+    F: Fn() -> Sim<P>,
 {
     pairwise_counting_with(
-        &ProbeEngine::sequential(),
+        &ProbeEngine::default(),
         make_sim,
         writer,
         reader,
@@ -217,14 +193,9 @@ where
     )
 }
 
-/// [`pairwise_counting`] through a [`ProbeEngine`]: the `|V|·(|V|−1)`
-/// ordered pairs fan out over the engine's workers — each worker builds
-/// its pair's `α^{(v1,v2)}` and runs the critical-pair search inline
-/// through a cache-sharing sequential view — and the injectivity fold then
-/// walks the results in pair-enumeration order. The report is identical
-/// to the sequential one for any worker count (asserted by the
-/// `engine_parity` integration tests); this fan-out is where the small-|V|
-/// counting verifiers get their multi-core speedup.
+/// [`pairwise_counting`] through a [`ProbeEngine`]: every pair's
+/// critical-pair search probes through `engine`, so the verdicts of all
+/// `|V|·(|V|−1)` searches share one cache.
 #[allow(clippy::too_many_arguments)]
 pub fn pairwise_counting_with<P, F>(
     engine: &ProbeEngine,
@@ -238,8 +209,7 @@ pub fn pairwise_counting_with<P, F>(
 ) -> CountingReport
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    F: Fn() -> Sim<P> + Sync,
-    Sim<P>: Send + Sync,
+    F: Fn() -> Sim<P>,
 {
     assert!(domain.len() >= 2, "need at least two values to count");
     let ordered: Vec<(Value, Value)> = domain
@@ -247,19 +217,6 @@ where
         .flat_map(|&v1| domain.iter().map(move |&v2| (v1, v2)))
         .filter(|&(v1, v2)| v1 != v2)
         .collect();
-    let results: Vec<Result<CriticalPair, CriticalError>> = engine.map(ordered.len(), |i| {
-        let (v1, v2) = ordered[i];
-        let alpha = AlphaExecution::build(make_sim(), writer, f, v1, v2)
-            .expect("alpha execution must complete under <= f failures");
-        find_critical_pair_with(
-            &engine.sequential_view(),
-            &alpha,
-            reader,
-            flush_gossip,
-            seeds,
-        )
-    });
-
     let mut vectors: BTreeMap<(Vec<u64>, usize, u64), (Value, Value)> = BTreeMap::new();
     let mut collisions = Vec::new();
     let mut failures = Vec::new();
@@ -267,8 +224,10 @@ where
     let mut change_records: BTreeSet<(usize, u64)> = BTreeSet::new();
     let pairs = ordered.len();
 
-    for (&(v1, v2), result) in ordered.iter().zip(results) {
-        match result {
+    for &(v1, v2) in &ordered {
+        let alpha = AlphaExecution::build(make_sim(), writer, f, v1, v2)
+            .expect("alpha execution must complete under <= f failures");
+        match find_critical_pair_with(engine, &alpha, reader, flush_gossip, seeds) {
             Ok(pair) => {
                 if per_position.is_empty() {
                     per_position = vec![BTreeSet::new(); pair.states_q1.len()];

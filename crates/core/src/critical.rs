@@ -12,7 +12,7 @@ use crate::execution::AlphaExecution;
 use crate::probe::ProbeEngine;
 use crate::valency::observed_values_at;
 use shmem_algorithms::reg::{RegInv, RegResp};
-use shmem_sim::{ClientId, Protocol, Sim};
+use shmem_sim::{ClientId, Protocol};
 use std::collections::BTreeSet;
 
 /// A located critical pair with the data the counting argument needs.
@@ -97,26 +97,13 @@ pub fn find_critical_pair<P>(
 ) -> Result<CriticalPair, CriticalError>
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
 {
-    find_critical_pair_with(
-        &ProbeEngine::sequential(),
-        alpha,
-        reader,
-        flush_gossip,
-        seeds,
-    )
+    find_critical_pair_with(&ProbeEngine::default(), alpha, reader, flush_gossip, seeds)
 }
 
-/// [`find_critical_pair`] through a [`ProbeEngine`]: the reverse scan for
-/// the largest 1-valent point proceeds in chunks whose valency probes fan
-/// out over the engine's workers, and every probe verdict is memoized.
-///
-/// The verdict is *bit-identical* to the sequential scan for any worker
-/// count: a chunk may probe a few more points than the early-exiting
-/// sequential loop, but the chosen index — the largest 1-valent one — and
-/// everything derived from it are the same (asserted by the
-/// `engine_parity` integration tests).
+/// [`find_critical_pair`] through a [`ProbeEngine`]: every valency probe
+/// of the scan is memoized, so a search on a warm engine is answered from
+/// its cache.
 pub fn find_critical_pair_with<P>(
     engine: &ProbeEngine,
     alpha: &AlphaExecution<P>,
@@ -126,15 +113,10 @@ pub fn find_critical_pair_with<P>(
 ) -> Result<CriticalPair, CriticalError>
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
 {
-    // Chunk jobs run one point's whole schedule sample inline on their
-    // worker (through a cache-sharing sequential view), so fan-out happens
-    // across points, never nested within one.
-    let seq = engine.sequential_view();
     let observed = |i: usize| {
         observed_values_at(
-            &seq,
+            engine,
             alpha.snapshot(i),
             alpha.writer,
             reader,
@@ -150,21 +132,13 @@ where
         });
     }
 
-    // Largest 1-valent index. Scan from the end — P_M must not be 1-valent
-    // for a regular algorithm — in chunks of points whose probes run
-    // concurrently; within a chunk the verdicts are merged in point order,
-    // so the chosen index is schedule-independent.
+    // Largest 1-valent index, scanning from the end: P_M must not be
+    // 1-valent for a regular algorithm.
     let m = alpha.len() - 1;
-    let chunk = (engine.workers() * 2).max(1);
-    let mut i = None;
-    let mut hi = m + 1;
-    while hi > 0 && i.is_none() {
-        let lo = hi.saturating_sub(chunk);
-        let flags = engine.map(hi - lo, |off| one_valent(lo + off));
-        i = flags.iter().rposition(|&b| b).map(|off| lo + off);
-        hi = lo;
-    }
-    let i = i.expect("P0 is 1-valent, so a largest 1-valent index exists");
+    let i = (0..=m)
+        .rev()
+        .find(|&i| one_valent(i))
+        .expect("P0 is 1-valent, so a largest 1-valent index exists");
     if i == m {
         return Err(CriticalError::NoTransition);
     }
@@ -210,21 +184,13 @@ pub fn valency_profile<P>(
 ) -> Vec<BTreeSet<u64>>
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
 {
-    valency_profile_with(
-        &ProbeEngine::sequential(),
-        alpha,
-        reader,
-        flush_gossip,
-        seeds,
-    )
+    valency_profile_with(&ProbeEngine::default(), alpha, reader, flush_gossip, seeds)
 }
 
-/// [`valency_profile`] through a [`ProbeEngine`]: points fan out over the
-/// engine's workers; each point's schedules are sampled inline on its
-/// worker with memoized verdicts. A profile computed after a critical-pair
-/// search on the same engine is answered almost entirely from the cache.
+/// [`valency_profile`] through a [`ProbeEngine`]: every verdict is
+/// memoized, so a profile computed after a critical-pair search on the
+/// same engine is answered almost entirely from the cache.
 pub fn valency_profile_with<P>(
     engine: &ProbeEngine,
     alpha: &AlphaExecution<P>,
@@ -234,19 +200,19 @@ pub fn valency_profile_with<P>(
 ) -> Vec<BTreeSet<u64>>
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
 {
-    let seq = engine.sequential_view();
-    engine.map(alpha.len(), |i| {
-        observed_values_at(
-            &seq,
-            alpha.snapshot(i),
-            alpha.writer,
-            reader,
-            flush_gossip,
-            seeds,
-        )
-    })
+    (0..alpha.len())
+        .map(|i| {
+            observed_values_at(
+                engine,
+                alpha.snapshot(i),
+                alpha.writer,
+                reader,
+                flush_gossip,
+                seeds,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -22,11 +22,9 @@
 //!   halted at their value-dependent phase, value-dependent messages
 //!   released to growing server prefixes, `(j, C₀)`-valency probes, and the
 //!   Lemma 6.10 profile search.
-//! * [`probe`] — the memoized, parallel probe engine the valency, critical,
+//! * [`probe`] — the memoized probe engine the valency, critical,
 //!   counting, and multiwrite machinery runs on: verdicts cached by
-//!   `(point digest, probe config)`, independent probes fanned over scoped
-//!   worker threads with a deterministic merge, so parallel runs are
-//!   bit-identical to sequential ones.
+//!   `(point digest, probe config)`, shared by every clone of an engine.
 //! * [`audit`] — storage audits: measure an algorithm's storage under a
 //!   workload and confront it with every applicable bound from
 //!   [`shmem_bounds`].

@@ -209,10 +209,9 @@ pub fn probe_restricted<P>(
 ) -> BTreeSet<Value>
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
 {
     probe_restricted_with(
-        &ProbeEngine::sequential(),
+        &ProbeEngine::default(),
         &point.snapshot(),
         setup,
         restricted,
@@ -254,12 +253,11 @@ fn probe_once_schedule<P: Protocol<Inv = RegInv, Resp = RegResp>>(
     }
 }
 
-/// [`probe_restricted`] through a [`ProbeEngine`]: the `seeds + 1`
-/// schedules fan out over the engine's workers and every verdict is
-/// memoized under the point digest plus a digest of the probe
-/// configuration (the restriction set, the schedule, and the setup — the
-/// classifier enters as a function-pointer address, which is stable for
-/// the lifetime of the process the cache lives in).
+/// [`probe_restricted`] through a [`ProbeEngine`]: each of the `seeds + 1`
+/// schedule verdicts is memoized under the point digest plus a digest of
+/// the probe configuration (the restriction set, the schedule, and the
+/// setup — the classifier enters as a function-pointer address, which is
+/// stable for the lifetime of the process the cache lives in).
 pub fn probe_restricted_with<P>(
     engine: &ProbeEngine,
     point: &Point<P>,
@@ -269,40 +267,23 @@ pub fn probe_restricted_with<P>(
 ) -> BTreeSet<Value>
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
 {
-    engine
-        .map(seeds as usize + 1, |i| {
-            restricted_verdict(engine, point, setup, restricted, nth_restricted_schedule(i))
+    (0..seeds as usize + 1)
+        .filter_map(|i| {
+            let schedule = nth_restricted_schedule(i);
+            let config = hash_of(&(
+                "restricted",
+                setup.nu,
+                setup.f,
+                setup.is_value_dependent as usize,
+                restricted,
+                schedule,
+            ));
+            engine.probe(point.digest(), config, || {
+                probe_once_schedule(point.sim(), setup, restricted, schedule)
+            })
         })
-        .into_iter()
-        .flatten()
         .collect()
-}
-
-/// One memoized restricted-probe verdict — the cache-facing primitive both
-/// [`probe_restricted_with`] and [`staged_search_with`] fan out over.
-fn restricted_verdict<P>(
-    engine: &ProbeEngine,
-    point: &Point<P>,
-    setup: &MultiWriteSetup<P>,
-    restricted: &BTreeSet<ClientId>,
-    schedule: Schedule,
-) -> Option<Value>
-where
-    P: Protocol<Inv = RegInv, Resp = RegResp>,
-{
-    let config = hash_of(&(
-        "restricted",
-        setup.nu,
-        setup.f,
-        setup.is_value_dependent as usize,
-        restricted,
-        schedule,
-    ));
-    engine.probe(point.digest(), config, || {
-        probe_once_schedule(point.sim(), setup, restricted, schedule)
-    })
 }
 
 fn probe_once<P: Protocol<Inv = RegInv, Resp = RegResp>>(
@@ -391,17 +372,13 @@ pub fn staged_search<P, F>(
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
     F: Fn() -> Sim<P>,
-    Sim<P>: Send + Sync,
 {
-    staged_search_with(&ProbeEngine::sequential(), make_sim, setup, values, seeds)
+    staged_search_with(&ProbeEngine::default(), make_sim, setup, values, seeds)
 }
 
 /// [`staged_search`] through a [`ProbeEngine`]: each candidate prefix is
 /// forked once and snapshotted, and the `(j, C₀)`-valency probes of every
-/// unchosen writer fan out over the engine's workers with memoized
-/// verdicts. The stage loop itself stays sequential — stage `i+1` extends
-/// the world stage `i` committed — so the extracted profile is identical
-/// to the sequential search for any worker count.
+/// unchosen writer run on it with memoized verdicts.
 pub fn staged_search_with<P, F>(
     engine: &ProbeEngine,
     make_sim: F,
@@ -412,7 +389,6 @@ pub fn staged_search_with<P, F>(
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
     F: Fn() -> Sim<P>,
-    Sim<P>: Send + Sync,
 {
     let mut sim = build_alpha0(make_sim(), setup, values)?;
     let n = sim.server_count() as u32;
@@ -432,48 +408,24 @@ where
         // Candidate prefix sizes: a_prev < a <= N - f + stage - 1.
         let max_a = (n - setup.f + stage - 1).min(n);
         let mut found: Option<(u32, u32)> = None;
-        'outer: for cand in (a_prev + 1)..=max_a {
+        for cand in (a_prev + 1)..=max_a {
             let mut fork = sim.fork();
             deliver_value_dependent(&mut fork, setup, &senders, a_prev..cand)?;
             let point = fork.into_snapshot();
-            // All (writer, schedule) probes of this candidate prefix fan
-            // out together; verdicts fold back per writer in job order.
-            let schedules = seeds as usize + 1;
-            let restrictions: Vec<BTreeSet<ClientId>> = unchosen
-                .iter()
-                .map(|&j| {
-                    let mut restricted = chosen.clone();
-                    restricted.insert(ClientId(j));
-                    restricted
-                })
-                .collect();
-            let verdicts = engine.map(unchosen.len() * schedules, |idx| {
-                restricted_verdict(
-                    engine,
-                    &point,
-                    setup,
-                    &restrictions[idx / schedules],
-                    nth_restricted_schedule(idx % schedules),
-                )
-            });
             // Tie-break by value order among j's valent at this prefix.
             let mut best: Option<(Value, u32)> = None;
-            for (ji, &j) in unchosen.iter().enumerate() {
-                let observed: BTreeSet<Value> = verdicts[ji * schedules..(ji + 1) * schedules]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                if observed.contains(&values[j as usize]) {
-                    let vj = values[j as usize];
-                    if best.is_none_or(|(bv, _)| vj < bv) {
-                        best = Some((vj, j));
-                    }
+            for &j in &unchosen {
+                let mut restricted = chosen.clone();
+                restricted.insert(ClientId(j));
+                let observed = probe_restricted_with(engine, &point, setup, &restricted, seeds);
+                let vj = values[j as usize];
+                if observed.contains(&vj) && best.is_none_or(|(bv, _)| vj < bv) {
+                    best = Some((vj, j));
                 }
             }
             if let Some((_, j)) = best {
                 found = Some((cand, j));
-                break 'outer;
+                break;
             }
         }
         let Some((cand, j)) = found else {
@@ -517,17 +469,13 @@ pub fn vector_counting<P, F>(
 ) -> VectorCountingReport
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    F: Fn() -> Sim<P> + Copy + Sync,
-    Sim<P>: Send + Sync,
+    F: Fn() -> Sim<P> + Copy,
 {
-    vector_counting_with(&ProbeEngine::sequential(), make_sim, setup, domain, seeds)
+    vector_counting_with(&ProbeEngine::default(), make_sim, setup, domain, seeds)
 }
 
-/// [`vector_counting`] through a [`ProbeEngine`]: the value-vectors fan
-/// out over the engine's workers — each worker runs its vector's staged
-/// search inline through a cache-sharing sequential view — and the
-/// injectivity fold walks the profiles in enumeration order, so the
-/// report is identical to the sequential one for any worker count.
+/// [`vector_counting`] through a [`ProbeEngine`]: every vector's staged
+/// search probes through `engine`, so all the searches share one cache.
 pub fn vector_counting_with<P, F>(
     engine: &ProbeEngine,
     make_sim: F,
@@ -537,25 +485,15 @@ pub fn vector_counting_with<P, F>(
 ) -> VectorCountingReport
 where
     P: Protocol<Inv = RegInv, Resp = RegResp>,
-    F: Fn() -> Sim<P> + Copy + Sync,
-    Sim<P>: Send + Sync,
+    F: Fn() -> Sim<P> + Copy,
 {
     let mut tuples: Vec<Vec<Value>> = Vec::new();
     enumerate_tuples(domain, setup.nu as usize, &mut Vec::new(), &mut tuples);
-    let results: Vec<Result<StagedProfile, MultiWriteError>> = engine.map(tuples.len(), |i| {
-        staged_search_with(
-            &engine.sequential_view(),
-            make_sim,
-            setup,
-            &tuples[i],
-            seeds,
-        )
-    });
     let mut seen: BTreeMap<ProfileKey, Vec<Value>> = BTreeMap::new();
     let mut collisions = Vec::new();
     let mut failures = Vec::new();
-    for (tuple, result) in tuples.iter().zip(results) {
-        match result {
+    for tuple in &tuples {
+        match staged_search_with(engine, make_sim, setup, tuple, seeds) {
             Ok(profile) => {
                 let key = profile.key();
                 if let Some(prev) = seen.get(&key) {

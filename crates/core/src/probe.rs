@@ -1,4 +1,4 @@
-//! The memoized, parallel valency-probe engine.
+//! The memoized valency-probe engine.
 //!
 //! Every lower-bound construction in this crate bottoms out in the same
 //! primitive: *fork the world at a point, run a read under an adversarial
@@ -12,30 +12,17 @@
 //!    the counting enumerations replay overlapping executions, and the
 //!    profile/figure pipelines probe the same `α` several times over.
 //!
-//! [`ProbeEngine`] exploits both:
+//! [`ProbeEngine`] therefore caches verdicts under `(point digest, config
+//! digest)`. [`Snapshot`](shmem_sim::Snapshot) memoizes the point digest
+//! (the expensive full-world walk), so repeated probes of one point pay
+//! for the walk once.
 //!
-//! * **Memoization** — verdicts are cached under `(point digest, config
-//!   digest)`. [`Snapshot`](shmem_sim::Snapshot) memoizes the point digest
-//!   (the expensive full-world walk), so repeated probes of one point pay
-//!   for the walk once.
-//! * **Deterministic fan-out** — [`ProbeEngine::map`] runs independent
-//!   jobs on `std::thread::scope` workers that pull indices from a shared
-//!   atomic counter and deposit results into index-addressed slots. The
-//!   merged output is in job order regardless of completion order, and a
-//!   1-worker engine runs the *same* code path inline — so parallel and
-//!   sequential runs are bit-identical by construction (and asserted by
-//!   the `engine_parity` integration tests).
-//!
-//! Engines are cheap handles: [`ProbeEngine::view`] produces a handle with
-//! a different worker count over the *same* cache, which is how outer
-//! enumerations (over value pairs or vectors) parallelize while their
-//! inner critical-pair searches run inline on the worker without nested
-//! thread explosions.
+//! Engines are cheap handles: clones share one cache and one set of
+//! counters, which is how a nested search reuses its parent's verdicts.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use shmem_algorithms::value::Value;
 
@@ -53,11 +40,6 @@ pub enum Schedule {
 pub type ProbeVerdict = Option<Value>;
 
 /// Cumulative counters of one engine's cache behaviour.
-///
-/// `probes` is deterministic — every request is counted. `hits` can be
-/// lower under parallel execution than sequentially: two workers racing
-/// on the same fresh key may both miss before either inserts (the
-/// verdicts still agree, so the duplicate compute is harmless).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Total memoized-probe requests.
@@ -84,73 +66,33 @@ impl ProbeStats {
 
 #[derive(Debug, Default)]
 struct EngineShared {
-    cache: Mutex<BTreeMap<(u64, u64), ProbeVerdict>>,
-    probes: AtomicU64,
-    hits: AtomicU64,
+    cache: RefCell<BTreeMap<(u64, u64), ProbeVerdict>>,
+    probes: Cell<u64>,
+    hits: Cell<u64>,
 }
 
-/// A memoizing, optionally parallel executor for valency probes.
+/// A memoizing executor for valency probes; `ProbeEngine::default()` is a
+/// fresh engine with an empty cache.
 ///
-/// See the [module docs](self) for the design. All views created with
-/// [`ProbeEngine::view`] share one verdict cache and one set of counters.
-#[derive(Debug)]
+/// See the [module docs](self) for the design. Clones share one verdict
+/// cache and one set of counters.
+#[derive(Clone, Debug, Default)]
 pub struct ProbeEngine {
-    shared: Arc<EngineShared>,
-    workers: NonZeroUsize,
+    shared: Rc<EngineShared>,
 }
 
 impl ProbeEngine {
-    /// An engine that runs every probe inline on the calling thread.
-    pub fn sequential() -> ProbeEngine {
-        ProbeEngine::with_workers(1)
-    }
-
-    /// An engine with `workers` fan-out threads (clamped to at least 1).
-    pub fn with_workers(workers: usize) -> ProbeEngine {
-        ProbeEngine {
-            shared: Arc::new(EngineShared::default()),
-            workers: NonZeroUsize::new(workers.max(1)).expect("clamped to >= 1"),
-        }
-    }
-
-    /// An engine sized to the machine (capped at 8 workers; probe jobs are
-    /// short enough that more rarely pays).
-    pub fn parallel() -> ProbeEngine {
-        let n = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        ProbeEngine::with_workers(n.min(8))
-    }
-
-    /// The fan-out width.
-    pub fn workers(&self) -> usize {
-        self.workers.get()
-    }
-
-    /// A handle over the *same* cache and counters with a different
-    /// fan-out width.
-    pub fn view(&self, workers: usize) -> ProbeEngine {
-        ProbeEngine {
-            shared: Arc::clone(&self.shared),
-            workers: NonZeroUsize::new(workers.max(1)).expect("clamped to >= 1"),
-        }
-    }
-
-    /// A 1-worker handle over the same cache — what outer fan-outs hand to
-    /// the nested searches running on their workers.
-    pub fn sequential_view(&self) -> ProbeEngine {
-        self.view(1)
-    }
-
     /// Cache counters so far.
     pub fn stats(&self) -> ProbeStats {
         ProbeStats {
-            probes: self.shared.probes.load(Ordering::Relaxed),
-            hits: self.shared.hits.load(Ordering::Relaxed),
+            probes: self.shared.probes.get(),
+            hits: self.shared.hits.get(),
         }
     }
 
     /// Number of distinct `(point, config)` verdicts currently cached.
     pub fn cached_verdicts(&self) -> usize {
-        self.shared.cache.lock().expect("cache lock poisoned").len()
+        self.shared.cache.borrow().len()
     }
 
     /// A memoized probe: answers from the cache when `(point, config)` was
@@ -158,109 +100,43 @@ impl ProbeEngine {
     ///
     /// `point` must be the [`Sim::digest`](shmem_sim::Sim::digest) of the
     /// probed point and `config` a digest of *everything else* the verdict
-    /// depends on (reader, schedule, restrictions, a kind tag). Two
-    /// concurrent misses on the same key may both run the probe; purity
-    /// makes the double write harmless.
+    /// depends on (reader, schedule, restrictions, a kind tag).
     pub fn probe(
         &self,
         point: u64,
         config: u64,
         run: impl FnOnce() -> ProbeVerdict,
     ) -> ProbeVerdict {
-        self.shared.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(&verdict) = self
-            .shared
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .get(&(point, config))
-        {
-            self.shared.hits.fetch_add(1, Ordering::Relaxed);
+        let shared = &self.shared;
+        shared.probes.set(shared.probes.get() + 1);
+        let cached = shared.cache.borrow().get(&(point, config)).copied();
+        if let Some(verdict) = cached {
+            shared.hits.set(shared.hits.get() + 1);
             return verdict;
         }
         let verdict = run();
-        self.shared
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .insert((point, config), verdict);
+        shared.cache.borrow_mut().insert((point, config), verdict);
         verdict
-    }
-
-    /// Runs `job(0) … job(jobs − 1)` and returns their results *in job
-    /// order*.
-    ///
-    /// [`shmem_util::par::map_indexed`] over this engine's workers: the
-    /// output (and therefore every verdict derived from it) is independent
-    /// of thread scheduling, and a panicking job propagates its panic to
-    /// the caller.
-    pub fn map<T, F>(&self, jobs: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        shmem_util::par::map_indexed(self.workers.get(), jobs, job)
-    }
-}
-
-impl Default for ProbeEngine {
-    fn default() -> ProbeEngine {
-        ProbeEngine::parallel()
-    }
-}
-
-impl Clone for ProbeEngine {
-    /// Clones share the cache (an engine is a handle, not the store).
-    fn clone(&self) -> ProbeEngine {
-        ProbeEngine {
-            shared: Arc::clone(&self.shared),
-            workers: self.workers,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn map_preserves_job_order() {
-        for workers in [1, 2, 4, 7] {
-            let engine = ProbeEngine::with_workers(workers);
-            let out = engine.map(100, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_handles_empty_and_tiny_job_sets() {
-        let engine = ProbeEngine::with_workers(4);
-        assert_eq!(engine.map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(engine.map(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn parallel_map_equals_sequential_map() {
-        let seq = ProbeEngine::sequential();
-        let par = ProbeEngine::with_workers(4);
-        let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        assert_eq!(seq.map(257, f), par.map(257, f));
-    }
 
     #[test]
     fn probe_caches_by_point_and_config() {
-        let engine = ProbeEngine::sequential();
-        let runs = AtomicU32::new(0);
+        let engine = ProbeEngine::default();
+        let runs = Cell::new(0);
         let run = || {
-            runs.fetch_add(1, Ordering::Relaxed);
+            runs.set(runs.get() + 1);
             Some(42)
         };
         assert_eq!(engine.probe(1, 1, run), Some(42));
         assert_eq!(engine.probe(1, 1, run), Some(42)); // hit
         assert_eq!(engine.probe(1, 2, run), Some(42)); // different config
         assert_eq!(engine.probe(2, 1, run), Some(42)); // different point
-        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        assert_eq!(runs.get(), 3);
         let stats = engine.stats();
         assert_eq!(stats.probes, 4);
         assert_eq!(stats.hits, 1);
@@ -270,29 +146,26 @@ mod tests {
     }
 
     #[test]
-    fn views_share_the_cache() {
-        let engine = ProbeEngine::with_workers(4);
+    fn clones_share_the_cache() {
+        let engine = ProbeEngine::default();
         assert_eq!(engine.probe(9, 9, || Some(5)), Some(5));
-        let seq = engine.sequential_view();
-        assert_eq!(seq.workers(), 1);
-        // The view answers from the parent's cache without running.
-        assert_eq!(seq.probe(9, 9, || unreachable!()), Some(5));
+        let clone = engine.clone();
+        // The clone answers from the original's cache without running,
+        // and the original's counters see the clone's hit.
+        assert_eq!(clone.probe(9, 9, || unreachable!()), Some(5));
         assert_eq!(engine.stats().hits, 1);
+        // A miss recorded through the clone is a hit for the original.
+        assert_eq!(clone.probe(8, 8, || None), None);
+        assert_eq!(engine.probe(8, 8, || unreachable!()), None);
+        assert_eq!(engine.stats(), clone.stats());
+        assert_eq!(engine.cached_verdicts(), 2);
     }
 
     #[test]
     fn stuck_verdicts_are_cached_too() {
-        let engine = ProbeEngine::sequential();
+        let engine = ProbeEngine::default();
         assert_eq!(engine.probe(3, 3, || None), None);
         assert_eq!(engine.probe(3, 3, || unreachable!()), None);
         assert_eq!(engine.stats().hits, 1);
-    }
-
-    #[test]
-    fn worker_counts_are_clamped() {
-        assert_eq!(ProbeEngine::with_workers(0).workers(), 1);
-        assert!(ProbeEngine::parallel().workers() >= 1);
-        let engine = ProbeEngine::sequential();
-        assert_eq!(engine.view(0).workers(), 1);
     }
 }

@@ -131,34 +131,27 @@ fn probe_config_digest(
     hash_of(&("valency", writer, reader, flush_gossip, schedule))
 }
 
-/// [`observed_values`] through a [`ProbeEngine`]: the `seeds + 1` schedules
-/// fan out over the engine's workers and every verdict is memoized under
-/// `(point digest, probe config)`. Bit-identical to [`observed_values`]
-/// for any worker count — the result is a set union of per-schedule
-/// verdicts, each of which is deterministic.
-pub fn observed_values_at<P>(
+/// [`observed_values`] through a [`ProbeEngine`]: each of the `seeds + 1`
+/// schedule verdicts is memoized under `(point digest, probe config)`.
+/// Identical to [`observed_values`] — the result is a set union of
+/// per-schedule verdicts, each of which is deterministic.
+pub fn observed_values_at<P: Protocol<Inv = RegInv, Resp = RegResp>>(
     engine: &ProbeEngine,
     point: &Point<P>,
     writer: ClientId,
     reader: ClientId,
     flush_gossip: bool,
     seeds: u64,
-) -> BTreeSet<Value>
-where
-    P: Protocol<Inv = RegInv, Resp = RegResp>,
-    Sim<P>: Send + Sync,
-{
+) -> BTreeSet<Value> {
     let point_digest = point.digest();
-    engine
-        .map(seeds as usize + 1, |i| {
+    (0..seeds as usize + 1)
+        .filter_map(|i| {
             let schedule = nth_schedule(i);
             let config = probe_config_digest(writer, reader, flush_gossip, schedule);
             engine.probe(point_digest, config, || {
                 probe_schedule(point.sim(), writer, reader, flush_gossip, schedule).value()
             })
         })
-        .into_iter()
-        .flatten()
         .collect()
 }
 
@@ -212,7 +205,7 @@ fn probe_with<P: Protocol<Inv = RegInv, Resp = RegResp>>(
 /// This is the plain reference path: every schedule runs, inline, every
 /// time. The proof machinery goes through [`observed_values_at`] instead,
 /// which computes the *same set* (asserted by the `engine_parity` tests)
-/// with memoization and fan-out.
+/// with memoization.
 pub fn observed_values<P: Protocol<Inv = RegInv, Resp = RegResp>>(
     point: &Sim<P>,
     writer: ClientId,
@@ -303,7 +296,7 @@ mod tests {
     #[test]
     fn engine_path_matches_reference_path() {
         let a = alpha();
-        let engine = ProbeEngine::with_workers(4);
+        let engine = ProbeEngine::default();
         for i in 0..a.len() {
             let reference = observed_values(a.point(i), ClientId(0), ClientId(1), false, 6);
             let engined =

@@ -15,7 +15,9 @@ use shmem_algorithms::cas::{ShardedCas, ShardedCasClient, ShardedCasConfig, Shar
 use shmem_algorithms::multikey::{project_histories, ShardMap};
 use shmem_algorithms::value::ValueSpec;
 use shmem_net::client::run_worker;
-use shmem_net::{serve_until, InProcHub, LoadConfig, NetBackend, NetCluster, Transport};
+use shmem_net::{
+    serve_until, InProcHub, LoadConfig, LoadHandle, NetBackend, NetCluster, Transport,
+};
 use shmem_sim::{ClientId, NodeId, ServerId};
 use shmem_spec::check_atomic;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,6 +27,8 @@ use std::time::{Duration, Instant};
 
 const N: u32 = 5;
 const F: u32 = 1;
+/// How long a broken run may take to fail a wait; never a schedule.
+const DEADLINE: Duration = Duration::from_secs(20);
 
 fn load(clients: u32, ops: usize) -> LoadConfig {
     LoadConfig {
@@ -55,6 +59,27 @@ fn cas_cluster(backend: NetBackend) -> (NetCluster<ShardedCas>, ShardedCasConfig
     (NetCluster::start(backend, servers), cfg)
 }
 
+/// Waits until `ready` holds, failing the test if `deadline` passes first.
+fn wait_for(what: &str, deadline: Duration, mut ready: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        assert!(
+            start.elapsed() < deadline,
+            "gave up after {deadline:?} waiting for {what}"
+        );
+        thread::yield_now();
+    }
+}
+
+/// Waits until each of `pools` TCP client pools has connected to all `N`
+/// servers: every worker's first fan-out is out, so the load is in flight.
+fn wait_until_connected(handle: &LoadHandle, pools: usize) {
+    let connects = pools as u64 * u64::from(N);
+    wait_for("every pool to connect", DEADLINE, || {
+        handle.connects() >= connects
+    });
+}
+
 fn assert_all_atomic(
     records: &[shmem_sim::OpRecord<
         shmem_algorithms::multikey::MultiInv,
@@ -80,9 +105,10 @@ fn tcp_load_survives_server_kill_and_restart() {
     let lc = load(12, 80);
     let handle = cluster.spawn_load(&lc, move |id| ShardedCasClient::new(cfg.clone(), id.0));
 
-    thread::sleep(Duration::from_millis(20));
+    wait_until_connected(&handle, lc.workers);
+    // `kill_server` returns once the server's loop has stopped and its
+    // connections are reset, so the restart follows an observed crash.
     cluster.kill_server(0);
-    thread::sleep(Duration::from_millis(60));
     cluster.restart_server(0);
 
     let report = handle.join();
@@ -103,7 +129,13 @@ fn permanent_crash_cell(mut cluster: NetCluster<ShardedAbd>, kill: usize) {
     let map = ShardMap::full(N);
     let handle = cluster.spawn_load(&lc, move |id| ShardedAbdClient::new(map, id.0));
 
-    thread::sleep(Duration::from_millis(20));
+    // An in-process load has no pools: it is in flight once spawned.
+    let pools = if cluster.addrs().is_some() {
+        lc.workers
+    } else {
+        0
+    };
+    wait_until_connected(&handle, pools);
     cluster.kill_server(kill);
 
     let report = handle.join();
@@ -132,12 +164,16 @@ fn tcp_load_reconnects_after_connection_sever() {
     let lc = load(12, 80);
     let handle = cluster.spawn_load(&lc, move |id| ShardedAbdClient::new(map, id.0));
 
-    thread::sleep(Duration::from_millis(20));
+    // Sever as soon as every pool is connected, while each worker still
+    // has nearly all of its operations to run.
+    wait_until_connected(&handle, lc.workers);
     let before = handle.connects();
     handle.sever_connections();
-    // The closed loop keeps sending, so reconnection happens within the
-    // first post-sever send; this sleep only gives it wall-clock room.
-    thread::sleep(Duration::from_millis(60));
+    // The closed loop keeps sending (or retransmitting), so the first
+    // post-sever send reconnects.
+    wait_for("a pool to reconnect", DEADLINE, || {
+        handle.connects() > before
+    });
     let after = handle.connects();
     assert!(
         after > before,
@@ -169,7 +205,7 @@ fn quorum_starvation_retires_cleanly_without_violation() {
         ShardedCasClient::new(cfg_for_clients.clone(), id.0)
     });
 
-    thread::sleep(Duration::from_millis(30));
+    wait_until_connected(&handle, lc.workers);
     // Native CAS at N = 5, f = 1 needs a quorum of 4; three survivors
     // cannot host one, so everything in flight from here stalls.
     cluster.kill_server(0);

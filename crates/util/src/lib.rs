@@ -12,9 +12,6 @@
 //! * [`prop`] — a miniature property-testing harness with a
 //!   `proptest!`-compatible macro surface (strategies over ranges, vectors,
 //!   tuples, `prop_map`/`prop_flat_map`, `Just`, weighted booleans).
-//! * [`bench`] — a miniature benchmarking harness with a
-//!   criterion-compatible macro surface (`criterion_group!`,
-//!   `criterion_main!`, `Criterion::bench_function`, groups, throughput).
 //! * [`json`] — a tiny JSON emitter and parser for the table/figure
 //!   exporters and the nemesis counterexample corpus.
 //! * [`cli`] — a tiny clap-style argument parser for the workspace
@@ -26,7 +23,6 @@
 //!   once so the simulator, the shared store, and the network layer
 //!   corrupt payloads byte-identically.
 
-pub mod bench;
 pub mod cli;
 pub mod json;
 pub mod par;

@@ -91,17 +91,34 @@ cargo test --release -q -p shmem-bench --test store_gate
 echo "==> ledger gate: the benchmark crate builds and passes against the workspace's public API (release)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> one clock: only perf_smoke may time anything under crates/bench/src"
-if grep -rln "Instant" crates/bench/src | grep -v '^crates/bench/src/bin/perf_smoke\.rs$'; then
-  echo "the files above read a clock; timing belongs to perf_smoke or the ledger" >&2
+echo "==> one timing harness: the ledger and perf_smoke time things, nothing else under crates/"
+if grep -rn "^\[\[bench\]\]" --include=Cargo.toml . --exclude-dir=target; then
+  echo "a bench target is back; wall-clock numbers belong to the ledger or perf_smoke" >&2
+  exit 1
+fi
+if ls -d crates/*/benches 2>/dev/null; then
+  echo "the directories above hold benches; wall-clock numbers belong to the ledger or perf_smoke" >&2
+  exit 1
+fi
+if grep -rln "Instant" crates/*/src | grep -v '^crates/bench/src/bin/perf_smoke\.rs$\|^crates/net/src/'; then
+  echo "the files above read a clock; timing belongs to perf_smoke, the net layer or the ledger" >&2
+  exit 1
+fi
+
+echo "==> one probe engine: the proof machinery probes sequentially, through one memoized engine"
+if grep -rn "with_workers\|sequential_view\|available_parallelism\|map_indexed" crates/core/src; then
+  echo "crates/core/src fans probes out again; the worker fan-out lost on its own grid and was deleted" >&2
+  exit 1
+fi
+
+echo "==> no sleeping tests: a test waits on what it observes, not on the clock"
+if grep -rn "thread::sleep" crates/*/tests tests; then
+  echo "the tests above sleep; wait on an observed condition with a deadline instead" >&2
   exit 1
 fi
 
 echo "==> perf smoke: same-run ratios — sim steps ÷ calibration, store floor, codec floor (release)"
 cargo run --release -q -p shmem-bench --bin perf_smoke
-
-echo "==> cargo bench --no-run"
-cargo bench --no-run -q
 
 echo "==> cargo build --examples"
 cargo build --examples -q

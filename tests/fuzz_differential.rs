@@ -10,8 +10,9 @@
 //!    observe.
 //! 2. **Worker invariance** — corpus JSON, coverage map, and violations
 //!    are byte-identical across 1/2/4 workers and across reruns, in both
-//!    mutation modes. The fuzzer inherits the probe engine's index-ordered
-//!    merge; this test is what keeps that property from regressing.
+//!    mutation modes. The fuzzer runs on `shmem_util::par::map_indexed`'s
+//!    index-ordered merge; this test is what keeps that property from
+//!    regressing.
 
 use shmem_algorithms::harness::{AbdCluster, LossyCluster, NwbCluster};
 use shmem_algorithms::nemesis::{fuzz, sweep, FuzzConfig, FuzzOutcome, Oracle};
