@@ -21,6 +21,8 @@
 //! invocations carrying [`value::Value`]s, and [`harness`] builds clusters,
 //! drives workloads, and extracts [`shmem_spec`] histories.
 
+#![forbid(unsafe_code)]
+
 pub mod abd;
 pub mod abd_gossip;
 pub mod backend;

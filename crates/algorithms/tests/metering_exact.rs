@@ -15,6 +15,11 @@
 //! 3. **Mergeable across shapes.** Registries of differently sized worlds
 //!    merge channel by channel, exporting the key-wise sums in `NodeId`
 //!    order, whatever the merge order.
+//! 4. **Storage is sampled at every point.** The soup re-reads every
+//!    server into a full-width [`StorageMeter`] after each invocation and
+//!    delivery; at the end it equals the world's own incremental meter:
+//!    every peak and `points_observed` exactly, the per-point totals up to
+//!    the rounding of a running sum.
 
 use shmem_algorithms::harness::Cluster;
 use shmem_algorithms::nemesis::{observe_shape, plan_for_seed, run_plan};
@@ -22,7 +27,10 @@ use shmem_algorithms::{
     AbdCluster, CasCluster, HashedCluster, MultiInv, RegInv, RegResp, ShardMap, ShardedAbdCluster,
     ValueSpec,
 };
-use shmem_sim::{ClientId, MetricsLevel, MetricsRegistry, NodeId, Protocol, Sim, StepInfo};
+use shmem_sim::{
+    ClientId, MetricsLevel, MetricsRegistry, Node, NodeId, Protocol, ServerId, Sim, StepInfo,
+    StorageMeter,
+};
 use shmem_util::DetRng;
 use std::collections::BTreeMap;
 
@@ -64,10 +72,32 @@ fn recounted<P: Protocol>(sim: &Sim<P>, trace: &[StepInfo]) -> Counts {
     counts
 }
 
+/// Reads every server of `sim` into `meter` — the full-width sample the
+/// world's per-step meter must agree with.
+fn sample_all<P: Protocol>(sim: &Sim<P>, meter: &mut StorageMeter) {
+    meter.observe_with(sim.server_count(), |i| {
+        let s = sim.server(ServerId(i as u32));
+        (
+            <P::Server as Node<P>>::state_bits(s),
+            <P::Server as Node<P>>::metadata_bits(s),
+        )
+    });
+}
+
+/// Samples `meter` after the steps that are points of the execution:
+/// invocations and deliveries.
+fn sample_point<P: Protocol>(sim: &Sim<P>, step: &StepInfo, meter: &mut StorageMeter) {
+    if matches!(step, StepInfo::Invoked { .. } | StepInfo::Delivered { .. }) {
+        sample_all(sim, meter);
+    }
+}
+
 /// A seeded fault soup straight through `Sim`: invocations, `step_with`
 /// deliveries, head drops and duplicates, link cuts and heals, and crashes
 /// inside the `f` budget; then every link heals and the world drains
-/// fairly. Returns the trace of every action that took effect.
+/// fairly. Returns the trace of every action that took effect, after
+/// checking the world's storage meter against a full-width re-sample of
+/// every point.
 fn soup<P: Protocol>(
     sim: &mut Sim<P>,
     seed: u64,
@@ -77,6 +107,13 @@ fn soup<P: Protocol>(
     let mut rng = DetRng::seed_from_u64(seed);
     let n = sim.server_count() as u32;
     let clients = sim.client_count() as u32;
+    let mut meter = StorageMeter::new(n as usize);
+    sample_all(sim, &mut meter);
+    assert_eq!(
+        sim.storage().points_observed,
+        1,
+        "the soup starts on a fresh world"
+    );
     let mut trace = Vec::new();
     let mut crashed = 0;
     let mut next = 1u64;
@@ -86,6 +123,7 @@ fn soup<P: Protocol>(
             trace.push(StepInfo::Invoked {
                 client: ClientId(c),
             });
+            sample_all(sim, &mut meter);
             next += 1;
         }
         match rng.gen_range(0..16u32) {
@@ -122,13 +160,37 @@ fn soup<P: Protocol>(
             _ => {}
         }
         if let Some(step) = sim.step_with(|opts| rng.gen_range(0..opts.len())) {
+            sample_point(sim, &step, &mut meter);
             trace.push(step);
         }
     }
     trace.extend(sim.heal_all_links());
     while let Some(step) = sim.step_fair() {
+        sample_point(sim, &step, &mut meter);
         trace.push(step);
     }
+    // The world keeps its per-point totals as a running sum of deltas, so
+    // they may differ from a fresh sum in the last bits (CAS's 128/3-bit
+    // shares: 213.33333333333334 against 213.33333333333331); the rest of
+    // the snapshot must match exactly.
+    let (got, mut want) = (sim.storage(), meter.snapshot());
+    for (g, w) in [
+        (got.peak_total_bits, &mut want.peak_total_bits),
+        (
+            got.peak_total_metadata_bits,
+            &mut want.peak_total_metadata_bits,
+        ),
+    ] {
+        assert!(
+            (g - *w).abs() <= 1e-9 * w.abs(),
+            "seed {seed}: running total {g} against a fresh sum's {w}"
+        );
+        *w = g;
+    }
+    assert_eq!(
+        got, want,
+        "seed {seed}: the per-step meter disagrees with a full-width re-sample"
+    );
     trace
 }
 

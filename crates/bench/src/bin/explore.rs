@@ -8,6 +8,8 @@
 //! explore audit --algo abd|cas|casgc --n 5 --f 2 --nu 3 [--seed 42]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shmem_algorithms::harness::{run_concurrent_workload, AbdCluster, CasCluster};
 use shmem_algorithms::value::ValueSpec;
 use shmem_bounds::{lower, upper, SystemParams, ValueDomain};

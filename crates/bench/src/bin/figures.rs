@@ -9,6 +9,8 @@
 //! `--json DIR`, each table is also written as `DIR/<id>.csv` /
 //! `DIR/<id>.json`.
 
+#![forbid(unsafe_code)]
+
 use shmem_bench::fig1::{as_table, paper_figure1};
 use shmem_bench::render::{render_csv, render_json, render_text, Table};
 use shmem_bench::{measured, tables};

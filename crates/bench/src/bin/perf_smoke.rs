@@ -17,6 +17,8 @@
 //! it was set, the same deliberately loose tolerance the gate has always
 //! had, so shared CI runners don't flap.
 
+#![forbid(unsafe_code)]
+
 use shmem_algorithms::backend::{AbdBackend, LocalAbd};
 use shmem_algorithms::harness::{AbdCluster, ShardedAbdCluster};
 use shmem_algorithms::multikey::ShardMap;

@@ -31,6 +31,8 @@
 //! No generator reads a clock: wall-clock numbers are the ledger's
 //! (`BENCHMARK.json`), and same-run ratio gates are the `perf_smoke` binary's.
 
+#![forbid(unsafe_code)]
+
 pub mod fig1;
 pub mod measured;
 pub mod render;

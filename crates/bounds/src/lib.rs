@@ -38,6 +38,8 @@
 //! # Ok::<(), shmem_bounds::ParamError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalogue;
 pub mod domain;
 pub mod lower;

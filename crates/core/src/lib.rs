@@ -31,6 +31,8 @@
 //! * [`section7`] — the concluding trichotomy: which structural property an
 //!   algorithm must give up to beat each bound.
 
+#![forbid(unsafe_code)]
+
 pub mod assumptions;
 pub mod audit;
 pub mod counting;

@@ -10,6 +10,8 @@
 //! key and runs the `shmem-spec` atomicity checker, exiting nonzero on
 //! any violation.
 
+#![forbid(unsafe_code)]
+
 use shmem_net::{run_remote, NetAlgorithm, NetBackend, NetScenario};
 use shmem_util::cli::Cli;
 use shmem_util::json::Json;

@@ -10,6 +10,8 @@
 //! use pairs this with `f`-bounded concurrent failures, exactly like
 //! the paper's model.
 
+#![forbid(unsafe_code)]
+
 use shmem_net::{serve_forever, NetAlgorithm, NetBackend, NetScenario};
 use shmem_util::cli::Cli;
 

@@ -30,6 +30,8 @@
 //! The `shmem-server` / `shmem-client` binaries expose the same pieces
 //! on the command line.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod corrupt;
 pub mod error;

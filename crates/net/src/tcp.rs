@@ -7,11 +7,12 @@
 //!   multiplex over one connection with no handshake. A connection that
 //!   sends garbage is closed; the server itself survives.
 //! * [`TcpClientTransport`] — a lazily-connecting pool, one connection
-//!   per server, with bounded-retry exponential backoff and automatic
-//!   reconnection after failures. Server addresses are read from a
-//!   shared [`AddrTable`] *on every connect attempt*, so a server that
-//!   restarts on a new port becomes reachable the moment the table is
-//!   updated.
+//!   per server, that reconnects after failures. A server that refuses a
+//!   connection is marked down: frames for it are dropped and counted
+//!   until its [`AddrTable`] entry changes or `REDIAL_INTERVAL` passes,
+//!   and no thread waits on it. The table is read on every dial, so a
+//!   server that restarts on a new port is dialled the moment the table
+//!   is updated.
 //!
 //! Both are [`Endpoint`]s and deliver by the one rule they share with the
 //! hub; below it, each connection keeps a byte queue that a flush writes
@@ -19,8 +20,9 @@
 //! all the frames a peer coalesced (DESIGN §4.10).
 //!
 //! Both ends are best-effort: delivery failures drop the message (the
-//! client layer retransmits; the protocols dedupe), and only an
-//! exhausted reconnect budget surfaces as [`NetError::Disconnected`].
+//! client layer retransmits; the protocols dedupe). A frame for a server
+//! that refused its dial, or is down, is dropped the same way, and `send`
+//! reports it as an error.
 
 use crate::error::NetError;
 use crate::frame::{encode_frame_into, read_frame, Envelope};
@@ -32,12 +34,12 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shared, mutable map from server index to socket address.
 ///
 /// The harness updates a restarted server's entry; client pools re-read
-/// it on every connect attempt.
+/// it on every dial.
 pub type AddrTable = Arc<Mutex<Vec<SocketAddr>>>;
 
 /// Builds an [`AddrTable`] from initial addresses.
@@ -294,19 +296,22 @@ impl Drop for ServerPeers {
     }
 }
 
-/// Connect attempts per send before giving up (the retry budget).
-const MAX_ATTEMPTS: u32 = 3;
-/// First backoff delay; doubles per attempt.
-const BASE_BACKOFF: Duration = Duration::from_millis(5);
+/// How long a server that refused a dial stays down, unless its address
+/// changes first: frames for it are dropped until then.
+const REDIAL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Client-side TCP endpoint: one lazily-established connection per
-/// server, reconnecting with bounded exponential backoff.
+/// server, redialled after a failure.
 pub type TcpClientTransport = Endpoint<PoolPeers>;
 
 /// The pool end's queues, one per server connection.
 pub struct PoolPeers {
     addrs: AddrTable,
     conns: HashMap<usize, Conn>,
+    /// Servers that refused their last dial: the address refused, and when.
+    down: HashMap<usize, (SocketAddr, Instant)>,
+    /// Frames dropped because their server refused a dial or was down.
+    unreachable: u64,
     /// Servers whose connection has frames queued since the last flush.
     dirty: Vec<usize>,
     inbox: InboxSender,
@@ -345,6 +350,8 @@ impl TcpClientTransport {
         let peers = PoolPeers {
             addrs,
             conns: HashMap::new(),
+            down: HashMap::new(),
+            unreachable: 0,
             dirty: Vec::new(),
             inbox: inbox.sender(),
             decode_errors: Arc::new(AtomicU64::new(0)),
@@ -366,45 +373,58 @@ impl TcpClientTransport {
     pub fn decode_errors(&self) -> u64 {
         self.peers.decode_errors.load(Ordering::Relaxed)
     }
+
+    /// Count of frames dropped because their server refused a dial or was
+    /// marked down.
+    pub fn unreachable_drops(&self) -> u64 {
+        self.peers.unreachable
+    }
 }
 
 impl PoolPeers {
-    /// Connects to `server`; `queued` — frames its last connection never got out — goes first.
+    /// Dials `server` once; `queued` — frames its last connection never got out — goes first.
+    /// A refusal marks the server down.
     fn connect(&mut self, server: usize, queued: Vec<u8>) -> Result<Conn, NetError> {
-        let mut backoff = BASE_BACKOFF;
-        let mut last = NetError::Disconnected {
-            peer: NodeId::Server(ServerId(server as u32)),
+        // Read the table on every dial: a restarted server lands on a new
+        // port, published here by whoever restarted it.
+        let addr = self
+            .addrs
+            .lock()
+            .expect("addr table poisoned")
+            .get(server)
+            .copied();
+        let Some(addr) = addr else {
+            return Err(NetError::Disconnected {
+                peer: NodeId::Server(ServerId(server as u32)),
+            });
         };
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                thread::sleep(backoff);
-                backoff *= 2;
+        match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
+            Ok(stream) => {
+                let inbox = self.inbox.clone();
+                let decode_errors = Arc::clone(&self.decode_errors);
+                let conn = Conn::open(stream, queued, decode_errors, move |_, env| {
+                    inbox.deliver(env)
+                })?;
+                self.connects.fetch_add(1, Ordering::Relaxed);
+                register(&self.registry, conn.clone());
+                self.conns.insert(server, conn.clone());
+                self.down.remove(&server);
+                Ok(conn)
             }
-            // Re-read the table every attempt: a restarted server lands
-            // on a new port, published here by whoever restarted it.
-            let addr = {
-                let table = self.addrs.lock().expect("addr table poisoned");
-                match table.get(server) {
-                    Some(&a) => a,
-                    None => return Err(last),
-                }
-            };
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(stream) => {
-                    let inbox = self.inbox.clone();
-                    let decode_errors = Arc::clone(&self.decode_errors);
-                    let conn = Conn::open(stream, queued, decode_errors, move |_, env| {
-                        inbox.deliver(env)
-                    })?;
-                    self.connects.fetch_add(1, Ordering::Relaxed);
-                    register(&self.registry, conn.clone());
-                    self.conns.insert(server, conn.clone());
-                    return Ok(conn);
-                }
-                Err(e) => last = NetError::io(&e),
+            Err(e) => {
+                self.down.insert(server, (addr, Instant::now()));
+                Err(NetError::io(&e))
             }
         }
-        Err(last)
+    }
+
+    /// Whether `server` refused a dial less than [`REDIAL_INTERVAL`] ago at
+    /// the address the table still holds.
+    fn is_down(&self, server: usize) -> bool {
+        self.down.get(&server).is_some_and(|&(addr, since)| {
+            since.elapsed() < REDIAL_INTERVAL
+                && self.addrs.lock().expect("addr table poisoned").get(server) == Some(&addr)
+        })
     }
 
     /// Replaces `server`'s connection; the new one inherits the frames the old never got out.
@@ -417,6 +437,9 @@ impl PoolPeers {
     fn conn_for(&mut self, server: usize) -> Result<Conn, NetError> {
         match self.conns.get(&server) {
             Some(conn) if conn.alive.load(Ordering::Acquire) => Ok(conn.clone()),
+            _ if self.is_down(server) => Err(NetError::Disconnected {
+                peer: NodeId::Server(ServerId(server as u32)),
+            }),
             _ => self.reconnect(server),
         }
     }
@@ -429,7 +452,10 @@ impl Peers for PoolPeers {
             return Ok(0);
         };
         let server = idx as usize;
-        let (queued, was_empty) = self.conn_for(server)?.queue(env);
+        let conn = self
+            .conn_for(server)
+            .inspect_err(|_| self.unreachable += 1)?;
+        let (queued, was_empty) = conn.queue(env);
         if was_empty {
             self.dirty.push(server);
         }
@@ -716,19 +742,42 @@ mod tests {
         assert_eq!(faults.connects(), 200);
     }
 
+    /// A refused dial marks the server down: frames for it are dropped
+    /// and counted with no further dial until its address changes or
+    /// `REDIAL_INTERVAL` passes.
     #[test]
-    fn exhausted_backoff_reports_disconnected() {
+    fn a_refused_server_is_down_until_its_address_changes() {
         // A port with no listener: grab one, then drop it.
         let dead = TcpListener::bind(loopback()).unwrap();
         let addr = dead.local_addr().unwrap();
         drop(dead);
 
-        let mut client = TcpClientTransport::new(addr_table(vec![addr]));
-        let env = Envelope {
-            from: NodeId::Client(ClientId(0)),
-            to: NodeId::Server(ServerId(0)),
-            payload: vec![],
-        };
+        let table = addr_table(vec![addr]);
+        let mut client = TcpClientTransport::new(Arc::clone(&table));
+        let env = request(0, vec![1]);
         assert!(client.send(&env).is_err());
+        let refused_at = client.peers.down[&0].1;
+        assert!(client.send(&env).is_err());
+        assert_eq!(
+            client.peers.down[&0].1, refused_at,
+            "a down server is not redialled"
+        );
+        assert_eq!(client.unreachable_drops(), 2);
+
+        // Once the interval has passed, the same address is dialled again.
+        client.peers.down.get_mut(&0).unwrap().1 -= REDIAL_INTERVAL;
+        assert!(client.send(&env).is_err());
+        assert!(client.peers.down[&0].1 > refused_at - REDIAL_INTERVAL);
+        assert_eq!(client.unreachable_drops(), 3);
+
+        // A new address is dialled at once, and the server is up again.
+        let listener = TcpListener::bind(loopback()).unwrap();
+        table.lock().unwrap()[0] = listener.local_addr().unwrap();
+        client.send(&env).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        assert_eq!(read_frame(&mut peer).unwrap(), Some(env));
+        assert!(client.peers.down.is_empty());
+        assert_eq!(client.faults().connects(), 1);
+        assert_eq!(client.unreachable_drops(), 3);
     }
 }

@@ -121,10 +121,10 @@ fn tcp_load_survives_server_kill_and_restart() {
     cluster.shutdown();
 }
 
-/// The permanent-crash cell: a server killed at `kill` and never
-/// restarted is exactly the `f = 1` crash the algorithms are proved
-/// against — the load finishes against the survivors.
-fn permanent_crash_cell(mut cluster: NetCluster<ShardedAbd>, kill: usize) {
+/// The permanent-crash cell: servers killed at `kills` and never
+/// restarted are exactly the crashes the algorithms are proved against
+/// while a quorum survives — the load finishes against the survivors.
+fn permanent_crash_cell(mut cluster: NetCluster<ShardedAbd>, kills: &[usize]) {
     let lc = load(10, 60);
     let map = ShardMap::full(N);
     let handle = cluster.spawn_load(&lc, move |id| ShardedAbdClient::new(map, id.0));
@@ -136,7 +136,9 @@ fn permanent_crash_cell(mut cluster: NetCluster<ShardedAbd>, kill: usize) {
         0
     };
     wait_until_connected(&handle, pools);
-    cluster.kill_server(kill);
+    for &kill in kills {
+        cluster.kill_server(kill);
+    }
 
     let report = handle.join();
     assert_eq!(report.retired, 0);
@@ -150,13 +152,19 @@ fn permanent_crash_cell(mut cluster: NetCluster<ShardedAbd>, kill: usize) {
 
 #[test]
 fn tcp_load_tolerates_permanent_server_crash() {
-    permanent_crash_cell(abd_cluster(NetBackend::Tcp), N as usize - 1);
+    permanent_crash_cell(abd_cluster(NetBackend::Tcp), &[N as usize - 1]);
+}
+
+/// ABD's majority quorum survives two of five crashes: the pools drop
+/// frames for both dead servers without stalling on them.
+#[test]
+fn tcp_load_tolerates_two_permanent_server_crashes() {
+    permanent_crash_cell(abd_cluster(NetBackend::Tcp), &[0, 3]);
 }
 
 /// Severing every pooled connection mid-load forces the reconnect path:
-/// the pool re-reads the address table, reconnects within its bounded
-/// retry/backoff budget, and the load completes with no correctness
-/// wobble. The grown connect counter is the proof the path ran.
+/// the pool re-reads the address table, redials the live servers, and
+/// the load completes with no correctness wobble. The grown connect counter is the proof the path ran.
 #[test]
 fn tcp_load_reconnects_after_connection_sever() {
     let cluster = abd_cluster(NetBackend::Tcp);
@@ -231,7 +239,7 @@ fn quorum_starvation_retires_cleanly_without_violation() {
 /// load. Guards against the fault tolerance being a TCP-only accident.
 #[test]
 fn inproc_load_tolerates_dropped_server_route() {
-    permanent_crash_cell(abd_cluster(NetBackend::InProc), 2);
+    permanent_crash_cell(abd_cluster(NetBackend::InProc), &[2]);
 }
 
 /// Overload: a server whose endpoint exists but is never served is a

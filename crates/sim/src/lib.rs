@@ -19,11 +19,10 @@
 //!
 //! 1. **Determinism** — all containers iterate in fixed order; a fair
 //!    round-robin step policy yields a reproducible execution.
-//! 2. **Forkability** — [`world::Sim`] is `Clone` with structural sharing
-//!    (copy-on-write behind `Arc`), so an execution can be branched at any
-//!    point (the α → β extensions of Sections 4–6) for a handful of
-//!    reference-count bumps, and [`world::Snapshot`] freezes a point with
-//!    a memoized digest.
+//! 2. **Forkability** — [`world::Sim`] is plain owned data and `Clone` is
+//!    a deep copy, so an execution can be branched at any point (the
+//!    α → β extensions of Sections 4–6), and [`world::Snapshot`] freezes a
+//!    point behind a shared handle with a memoized digest.
 //! 3. **Adversary control** — crash failures ([`world::Sim::fail`]),
 //!    indefinite message delay ([`world::Sim::freeze`]), and hand-scripted
 //!    delivery ([`world::Sim::deliver_one`]) implement the executions the
@@ -35,6 +34,8 @@
 //! execution does — messages, operation latencies, fault effects — is
 //! metered by the opt-in [`metrics::MetricsRegistry`], whose ledgers obey
 //! an exact conservation law the simulator audits at quiescence.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod coverage;

@@ -121,22 +121,6 @@ impl StorageMeter {
         self.samples += 1;
     }
 
-    /// Whether an [`StorageMeter::observe_server`] with these values would
-    /// leave every peak untouched — the simulator's check for deferring
-    /// the sample as a tick without unsharing the meter.
-    #[inline]
-    pub fn server_unchanged(&self, i: usize, state_bits: f64, metadata_bits: f64) -> bool {
-        let s = &self.servers[i];
-        state_bits == s.cur && metadata_bits == s.cur_meta
-    }
-
-    /// Books `n` deferred peak-preserving observation points at once (the
-    /// batched form of [`StorageMeter::observe_tick`]).
-    #[inline]
-    pub fn add_ticks(&mut self, n: u64) {
-        self.samples += n;
-    }
-
     /// The current snapshot of all peaks.
     pub fn snapshot(&self) -> StorageSnapshot {
         StorageSnapshot {

@@ -32,8 +32,9 @@
 //!    metrics-wiring bug by construction.
 //! 3. **Zero cost when off.** [`MetricsLevel::Off`] (the default) reduces
 //!    every hook to one branch on the enum — the simulator checks the level
-//!    before touching the registry's `Arc` — so proof machinery and
-//!    benchmarks built on raw [`crate::world::Sim`] pay nothing.
+//!    before touching the registry, which does not exist when off — so
+//!    proof machinery and benchmarks built on raw [`crate::world::Sim`] pay
+//!    nothing.
 //!
 //! The registry is *not* part of the world digest
 //! ([`crate::world::Sim::digest`]): metrics observe the history of an
@@ -287,9 +288,8 @@ impl Histogram {
 /// The registry of everything metered: message ledgers (global, per
 /// channel, per server), wire bytes, operation spans, and histograms.
 ///
-/// Lives behind an `Arc` inside [`crate::world::Sim`] and copies on write
-/// like the rest of the world, so forking a metered execution is still a
-/// handful of reference-count bumps.
+/// An owned field of [`crate::world::Sim`] (absent when metering is off),
+/// copied with the rest of the world when a metered execution forks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsRegistry {
     level: MetricsLevel,
@@ -505,16 +505,23 @@ impl MetricsRegistry {
     }
 
     /// Checks the conservation law per channel and globally against the
-    /// queue lengths the world holds right now, `queued[r]` for the
-    /// channel of ledger row `r` (missing entries count as empty).
+    /// queue lengths the world holds right now, in ledger-row order: the
+    /// `r`-th length is the queue of ledger row `r` (missing lengths count
+    /// as empty).
     ///
     /// # Errors
     ///
     /// The first imbalanced channel (in channel order), or the global
     /// imbalance, as a [`ConservationError`].
-    pub fn check_conservation(&self, queued: &[u32]) -> Result<(), ConservationError> {
-        for (r, &(key, ledger)) in self.per_channel.iter().enumerate() {
-            let q = u64::from(queued.get(r).copied().unwrap_or(0));
+    pub fn check_conservation(
+        &self,
+        queued: impl IntoIterator<Item = u32>,
+    ) -> Result<(), ConservationError> {
+        let mut queued = queued.into_iter();
+        let mut total_queued = 0u64;
+        for &(key, ledger) in &self.per_channel {
+            let q = u64::from(queued.next().unwrap_or(0));
+            total_queued += q;
             if !ledger.balances_with(q) {
                 return Err(ConservationError {
                     channel: Some(key),
@@ -523,7 +530,7 @@ impl MetricsRegistry {
                 });
             }
         }
-        let total_queued: u64 = queued.iter().map(|&q| u64::from(q)).sum();
+        total_queued += queued.map(u64::from).sum::<u64>();
         if !self.global.balances_with(total_queued) {
             return Err(ConservationError {
                 channel: None,
@@ -754,9 +761,8 @@ mod tests {
         assert_eq!(m.global().dropped, 1);
         assert_eq!(m.wire_bytes(), 48);
         // One message of `a`'s still queued; `b`'s was dropped.
-        let queued = [1u32];
-        assert!(m.check_conservation(&queued).is_ok());
-        assert!(m.check_conservation(&[]).is_err());
+        assert!(m.check_conservation([1]).is_ok());
+        assert!(m.check_conservation([]).is_err());
     }
 
     #[test]
@@ -785,7 +791,7 @@ mod tests {
         // Below `Full` a hook that is called anyway keeps its ledger and
         // leaves the histograms alone.
         assert_eq!(r.queue_depth().count(), 0);
-        let err = r.check_conservation(&[]).unwrap_err();
+        let err = r.check_conservation([]).unwrap_err();
         assert_eq!(err.channel, Some((NodeId::client(0), NodeId::server(0))));
         let text = err.to_string();
         assert!(text.contains("c0 -> s0"), "{text}");

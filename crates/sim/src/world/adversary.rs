@@ -18,7 +18,6 @@ use super::Sim;
 use crate::ids::NodeId;
 use crate::node::Protocol;
 use crate::trace::StepInfo;
-use std::sync::Arc;
 
 impl<P: Protocol> Sim<P> {
     /// Crashes a node: it stops taking steps and messages to or from it
@@ -40,12 +39,12 @@ impl<P: Protocol> Sim<P> {
         let purged: Vec<usize> = (0..self.channels.keys.len())
             .filter(|&r| {
                 let (from, to) = self.channels.keys[r];
-                (from == node || to == node) && self.channels.len[r] > 0
+                (from == node || to == node) && self.channels.queues[r].len > 0
             })
             .collect();
         if self.metrics_level() != crate::metrics::MetricsLevel::Off {
             for &r in &purged {
-                let count = u64::from(self.channels.len[r]);
+                let count = u64::from(self.channels.queues[r].len);
                 if let Some(m) = self.metrics_mut() {
                     m.on_purged(r, count);
                 }
@@ -53,7 +52,7 @@ impl<P: Protocol> Sim<P> {
         }
         for &r in &purged {
             self.mark_chan_dirty(r);
-            Arc::make_mut(&mut self.channels).purge(r);
+            self.channels.purge(r);
         }
         self.cover(super::cover::kind::CRASH, node, node, 0);
         StepInfo::Crashed { node }
@@ -128,7 +127,7 @@ impl<P: Protocol> Sim<P> {
             self.cut_links.remove(&(from, to));
             self.digest_acc = self.digest_acc.wrapping_sub(comp_cut(from, to));
             if let Some(row) = self.channels.find((from, to)) {
-                Arc::make_mut(&mut self.channels).cut[row] = false;
+                self.channels.cut[row] = false;
             }
         }
         self.cover(super::cover::kind::HEAL, node, node, 0);

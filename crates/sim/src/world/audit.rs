@@ -2,7 +2,7 @@
 //! world-level JSON export.
 //!
 //! The registry itself lives in [`crate::metrics`]; this file is the glue
-//! between it and the world: the copy-on-write accessor the step relation
+//! between it and the world: the metered-or-nothing accessor the step relation
 //! and fault primitives use, the mid-run enablement that baselines
 //! in-flight messages so the conservation law holds from the switch-on
 //! point, and the audit that compares the ledgers against the queues the
@@ -12,7 +12,7 @@ use super::Sim;
 use crate::metrics::{ConservationError, MetricsLevel, MetricsRegistry};
 use crate::node::Protocol;
 use shmem_util::json::Json;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The registry [`Sim::metrics`] returns while metering is off: one
 /// process-wide empty instance, so the accessor's type stays simple
@@ -38,14 +38,14 @@ impl<P: Protocol> Sim<P> {
 
     /// The metered-or-nothing accessor every hook site goes through: at
     /// [`MetricsLevel::Off`] this is a single branch on an inline field —
-    /// no `Arc` exists, let alone gets dereferenced — which is the "off
+    /// no registry exists, let alone gets touched — which is the "off
     /// reduces to branch-on-enum" guarantee.
     #[inline]
     pub(super) fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
         if self.metrics_level == MetricsLevel::Off {
             None
         } else {
-            self.metrics.as_mut().map(Arc::make_mut)
+            self.metrics.as_mut()
         }
     }
 
@@ -56,12 +56,12 @@ impl<P: Protocol> Sim<P> {
     /// call. Per-server counters restart at zero.
     pub fn set_metrics(&mut self, level: MetricsLevel) {
         self.metrics = (level != MetricsLevel::Off).then(|| {
-            let t = &*self.channels;
+            let t = &self.channels;
             let mut reg = MetricsRegistry::with_rows(level, self.servers.len(), &t.keys);
             for row in t.nonempty.iter() {
-                reg.baseline_in_flight(row as usize, u64::from(t.len[row as usize]));
+                reg.baseline_in_flight(row as usize, u64::from(t.queues[row as usize].len));
             }
-            Arc::new(reg)
+            reg
         });
         self.metrics_level = level;
     }
@@ -71,7 +71,7 @@ impl<P: Protocol> Sim<P> {
     /// the world, not a counter: a heal or unfreeze releases held messages
     /// without any ledger movement.
     pub fn held_messages(&self) -> u64 {
-        let t = &*self.channels;
+        let t = &self.channels;
         t.nonempty
             .iter()
             .map(|row| row as usize)
@@ -80,7 +80,7 @@ impl<P: Protocol> Sim<P> {
                     || self.blocked[t.src_slot[r] as usize]
                     || self.blocked[t.dst_slot[r] as usize]
             })
-            .map(|r| u64::from(t.len[r]))
+            .map(|r| u64::from(t.queues[r].len))
             .sum()
     }
 
@@ -105,7 +105,8 @@ impl<P: Protocol> Sim<P> {
         if self.metrics_level == MetricsLevel::Off {
             return Ok(());
         }
-        self.metrics().check_conservation(&self.channels.len)
+        self.metrics()
+            .check_conservation(self.channels.queues.iter().map(|q| q.len))
     }
 
     /// The registry's byte-stable JSON export plus a `gauges` object with

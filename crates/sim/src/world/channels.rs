@@ -20,19 +20,14 @@
 //!   its channel straight from the `nonempty` bitset (`select`) without
 //!   materializing an options list at all.
 //!
-//! The channel table and the node vectors are `Arc`s shared between
-//! forks. Rather than paying `Arc::make_mut`'s refcount round-trips per
-//! step, the delivery loop claims *unique ownership* of all three once —
-//! the `hot_owned` flag on [`Sim`] — and thereafter reaches their
-//! payloads directly; the first delivery after a fork unshares the trio
-//! in one go and re-establishes the claim (see [`Sim::deliver_row`]'s
-//! safety comment).
+//! The channel table and the node vectors are owned fields of [`Sim`], so
+//! the delivery loop borrows the table and the receiving node as disjoint
+//! fields, with no ownership check.
 
 use super::{RunError, SendRecord, Sim};
 use crate::ids::{ClientId, NodeId};
 use crate::node::{Ctx, Node, Protocol};
 use crate::trace::{OpRecord, StepInfo};
-use std::sync::Arc;
 
 impl<P: Protocol> Sim<P> {
     /// Invokes an operation at a client. The invocation action itself is one
@@ -55,7 +50,7 @@ impl<P: Protocol> Sim<P> {
         assert!(idx < self.clients.len(), "unknown client {client}");
         self.now += 1;
         self.open_ops.insert(client, self.ops.len());
-        Arc::make_mut(&mut self.ops).push(OpRecord {
+        self.ops.push(OpRecord {
             client,
             invoked_at: self.now,
             responded_at: None,
@@ -72,11 +67,7 @@ impl<P: Protocol> Sim<P> {
             std::mem::take(&mut self.scratch_outbox),
             std::mem::take(&mut self.scratch_resp),
         );
-        <P::Client as Node<P>>::on_invoke(
-            &mut Arc::make_mut(&mut self.clients)[idx],
-            inv,
-            &mut ctx,
-        );
+        <P::Client as Node<P>>::on_invoke(&mut self.clients[idx], inv, &mut ctx);
         self.apply_effects(id, ctx);
         self.sample_meter_for(id);
         self.cover_step(super::cover::kind::INVOKE, id, id);
@@ -87,7 +78,7 @@ impl<P: Protocol> Sim<P> {
     /// non-empty, un-cut rows whose endpoints are unblocked, in key order.
     fn fill_step_options(&self, out: &mut Vec<(NodeId, NodeId)>) {
         out.clear();
-        let t = &*self.channels;
+        let t = &self.channels;
         for row in t.nonempty.iter() {
             let r = row as usize;
             if !t.cut[r]
@@ -134,7 +125,7 @@ impl<P: Protocol> Sim<P> {
         let src = self.node_slot(from) as u32;
         let dst = self.node_slot(to) as u32;
         let row = match self.channels.lookup(src, dst) {
-            Some(r) if self.channels.len[r] > 0 => r,
+            Some(r) if self.channels.queues[r].len > 0 => r,
             _ => return Err(RunError::NoSuchMessage { from, to }),
         };
         Ok(self.deliver_row(row))
@@ -143,28 +134,7 @@ impl<P: Protocol> Sim<P> {
     /// The delivery core: pops `row`'s head, dispatches it, applies the
     /// effects. The row must be non-empty and deliverable.
     fn deliver_row(&mut self, row: usize) -> StepInfo {
-        // Claim unique ownership of the hot allocations once, instead of
-        // paying `Arc::make_mut`'s refcount round-trips on every step.
-        // After the three unshares below, no other pointer to the server
-        // vec, client vec, or channel table exists — re-sharing them
-        // requires `Sim::clone`, which clears `hot_owned` on both worlds
-        // through `&self`, and `&mut self` here excludes any concurrent
-        // clone of *this* world.
-        use std::sync::atomic::Ordering::Relaxed;
-        if !self.hot_owned.load(Relaxed) {
-            Arc::make_mut(&mut self.servers);
-            Arc::make_mut(&mut self.clients);
-            Arc::make_mut(&mut self.channels);
-            self.hot_owned.store(true, Relaxed);
-        }
-        // SAFETY: `hot_owned` (checked or just established above) proves
-        // these `Arc`s unique, so mutating their payloads in place is
-        // sound for the same reason `Arc::get_mut_unchecked` is. The raw
-        // borrow of the table coexists with the disjoint field accesses
-        // below (nodes, scratch, digest caches).
-        let t = unsafe {
-            &mut *(Arc::as_ptr(&self.channels) as *mut super::table::ChannelTable<P::Msg>)
-        };
+        let t = &mut self.channels;
         let (from, to) = t.keys[row];
         if !t.dirty[row] {
             t.dirty[row] = true;
@@ -179,38 +149,25 @@ impl<P: Protocol> Sim<P> {
             (true, true) => self.traffic.server_to_server += 1,
             (false, false) => {}
         }
-        if self.metrics_level != crate::metrics::MetricsLevel::Off {
-            if let Some(m) = self.metrics.as_mut().map(Arc::make_mut) {
-                m.on_delivered(row);
-            }
+        if let Some(m) = self.metrics_mut() {
+            m.on_delivered(row);
         }
-        // `mark_node_dirty`, inlined to keep the table borrow alive.
-        if !self.node_dirty[dst_slot] {
-            self.node_dirty[dst_slot] = true;
-            self.digest_acc = self.digest_acc.wrapping_sub(self.node_comp[dst_slot]);
-        }
+        self.mark_node_dirty(dst_slot);
         let mut ctx: Ctx<P> = Ctx::with_buffers(
             to,
             self.now,
             std::mem::take(&mut self.scratch_outbox),
             std::mem::take(&mut self.scratch_resp),
         );
-        // SAFETY: covered by the `hot_owned` uniqueness claim above; the
-        // node vectors are separate allocations from the table borrowed
-        // as `t`.
         match to {
             NodeId::Server(s) => <P::Server as Node<P>>::on_message(
-                unsafe {
-                    &mut (&mut *(Arc::as_ptr(&self.servers) as *mut Vec<P::Server>))[s.0 as usize]
-                },
+                &mut self.servers[s.0 as usize],
                 from,
                 msg,
                 &mut ctx,
             ),
             NodeId::Client(c) => <P::Client as Node<P>>::on_message(
-                unsafe {
-                    &mut (&mut *(Arc::as_ptr(&self.clients) as *mut Vec<P::Client>))[c.0 as usize]
-                },
+                &mut self.clients[c.0 as usize],
                 from,
                 msg,
                 &mut ctx,
@@ -229,7 +186,7 @@ impl<P: Protocol> Sim<P> {
         if self.blocked_count == 0 && self.cut_links.is_empty() {
             // Fault-free fast path: every non-empty row is deliverable, so
             // the round-robin pick selects from the nonempty set directly.
-            let t = &*self.channels;
+            let t = &self.channels;
             let n = t.nonempty.len();
             if n == 0 {
                 return None;
@@ -291,14 +248,14 @@ impl<P: Protocol> Sim<P> {
             .channels
             .find((from, to))
             .ok_or(RunError::NoSuchMessage { from, to })?;
-        if idx >= self.channels.len[row] as usize {
+        if idx >= self.channels.queues[row].len as usize {
             return Err(RunError::NoSuchMessage { from, to });
         }
         if idx > 0 {
             // Rotate the chosen message to the head; FIFO order of the rest
             // is irrelevant under ChannelOrder::Any.
             self.mark_chan_dirty(row);
-            Arc::make_mut(&mut self.channels).rotate_nth_to_front(row, idx);
+            self.channels.rotate_nth_to_front(row, idx);
         }
         self.deliver_one(from, to)
     }
@@ -315,14 +272,14 @@ impl<P: Protocol> Sim<P> {
         let mut options = std::mem::take(&mut self.scratch_weighted);
         options.clear();
         {
-            let t = &*self.channels;
+            let t = &self.channels;
             for row in t.nonempty.iter() {
                 let r = row as usize;
                 if !t.cut[r]
                     && !self.blocked[t.src_slot[r] as usize]
                     && !self.blocked[t.dst_slot[r] as usize]
                 {
-                    options.push((t.keys[r], t.len[r] as usize));
+                    options.push((t.keys[r], t.queues[r].len as usize));
                 }
             }
         }
@@ -437,7 +394,7 @@ impl<P: Protocol> Sim<P> {
         loop {
             // First deliverable server→server row in key order — the same
             // channel the old options-list `find` selected.
-            let t = &*self.channels;
+            let t = &self.channels;
             let next = t.nonempty.iter().map(|row| row as usize).find(|&r| {
                 let (from, to) = t.keys[r];
                 from.is_server()
@@ -478,20 +435,12 @@ impl<P: Protocol> Sim<P> {
             let nserv = self.servers.len() as u32;
             let nclients = self.clients.len() as u32;
             let now = self.now;
-            let t = if self.hot_owned.load(std::sync::atomic::Ordering::Relaxed) {
-                // SAFETY: `hot_owned` proves the table `Arc` unique, as in
-                // `deliver_row`; the borrow ends with this loop.
-                unsafe {
-                    &mut *(Arc::as_ptr(&self.channels) as *mut super::table::ChannelTable<P::Msg>)
-                }
-            } else {
-                Arc::make_mut(&mut self.channels)
-            };
+            let t = &mut self.channels;
             let mut metrics = match self.metrics_level {
                 crate::metrics::MetricsLevel::Off => None,
-                _ => self.metrics.as_mut().map(Arc::make_mut),
+                _ => self.metrics.as_mut(),
             };
-            let mut log = self.send_log.as_mut().map(Arc::make_mut);
+            let mut log = self.send_log.as_mut();
             for (to, msg) in outbox.drain(..) {
                 let dst = match to {
                     NodeId::Server(s) => {
@@ -563,10 +512,10 @@ impl<P: Protocol> Sim<P> {
             } else {
                 0
             };
-            let ops = Arc::make_mut(&mut self.ops);
-            ops[idx].responded_at = Some(self.now);
-            ops[idx].response = Some(resp);
-            let latency = self.now - self.ops[idx].invoked_at;
+            let op = &mut self.ops[idx];
+            op.responded_at = Some(self.now);
+            op.response = Some(resp);
+            let latency = self.now - op.invoked_at;
             if let Some(m) = self.metrics_mut() {
                 m.on_op_completed(latency);
                 if detections > 0 {
@@ -581,9 +530,9 @@ impl<P: Protocol> Sim<P> {
     /// adversaries that withhold messages by content (e.g. the Section 6
     /// construction withholding value-dependent messages).
     pub fn peek_head(&self, from: NodeId, to: NodeId) -> Option<&P::Msg> {
-        let t = &*self.channels;
+        let t = &self.channels;
         let row = t.find((from, to))?;
-        let h = t.head[row];
+        let h = t.queues[row].head;
         if h.is_nil() {
             None
         } else {
@@ -605,14 +554,14 @@ impl<P: Protocol> Sim<P> {
 
     /// The recorded sends (empty unless [`Sim::record_sends`] is on).
     pub fn send_log(&self) -> &[SendRecord<P::Msg>] {
-        self.send_log.as_deref().map_or(&[], Vec::as_slice)
+        self.send_log.as_deref().unwrap_or(&[])
     }
 
     /// Messages currently queued from `from` to `to`.
     pub fn in_flight(&self, from: NodeId, to: NodeId) -> usize {
         self.channels
             .find((from, to))
-            .map_or(0, |r| self.channels.len[r] as usize)
+            .map_or(0, |r| self.channels.queues[r].len as usize)
     }
 
     /// Total messages in flight anywhere.

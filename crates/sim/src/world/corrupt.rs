@@ -30,7 +30,6 @@ use super::Sim;
 use crate::ids::{NodeId, ServerId};
 use crate::node::Protocol;
 use crate::trace::StepInfo;
-use std::sync::Arc;
 
 impl<P: Protocol> Sim<P> {
     /// Tampers with `server`'s stored value-bearing state in
@@ -95,14 +94,14 @@ impl<P: Protocol> Sim<P> {
         salt: u64,
     ) -> Result<Option<StepInfo>, super::RunError> {
         let row = match self.channels.find((from, to)) {
-            Some(r) if self.channels.len[r] > 0 => r,
+            Some(r) if self.channels.queues[r].len > 0 => r,
             _ => return Err(super::RunError::NoSuchMessage { from, to }),
         };
         // Unfold the row's digest component while the cache still matches
         // the queue contents, then mutate the arena slot in place.
         self.mark_chan_dirty(row);
-        let t = Arc::make_mut(&mut self.channels);
-        let head = t.head[row];
+        let t = &mut self.channels;
+        let head = t.queues[row].head;
         let tampered = P::corrupt_msg(t.arena.get_mut(head), salt);
         if !tampered {
             return Ok(None);

@@ -3,8 +3,8 @@
 //!
 //! The map itself lives in [`crate::coverage`]; this file is the glue
 //! between it and the world, mirroring the metrics glue in `audit.rs`:
-//! an off-by-default `Option<Arc<CoverageMap>>` behind an inline `bool`,
-//! so unfuzzed worlds pay a single branch per hook and nothing on fork.
+//! an off-by-default `Option<CoverageMap>` behind an inline `bool`, so
+//! unfuzzed worlds pay a single branch per hook and copy nothing on fork.
 //!
 //! Like the metrics registry, the coverage map is an *observer* of the
 //! execution, not part of the world state: it is excluded from
@@ -16,7 +16,6 @@ use super::Sim;
 use crate::coverage::CoverageMap;
 use crate::ids::NodeId;
 use crate::node::{Node, Protocol};
-use std::sync::Arc;
 
 /// Event-kind tags for [`CoverageMap::record_event`]. Stable small
 /// integers, one per step/fault variant, so a schedule that swaps (say) a
@@ -56,20 +55,20 @@ impl<P: Protocol> Sim<P> {
 
     /// The coverage map recorded so far, if coverage is on.
     pub fn coverage(&self) -> Option<&CoverageMap> {
-        self.coverage.as_deref()
+        self.coverage.as_ref()
     }
 
     /// The covered slots, sorted ascending — empty when coverage is off.
     pub fn coverage_hits(&self) -> Vec<u32> {
         self.coverage
-            .as_deref()
+            .as_ref()
             .map_or_else(Vec::new, CoverageMap::occupied)
     }
 
     /// Enables (with a fresh, empty map) or disables coverage recording at
     /// any point of an execution.
     pub fn set_coverage(&mut self, on: bool) {
-        self.coverage = on.then(|| Arc::new(CoverageMap::new()));
+        self.coverage = on.then(CoverageMap::new);
         self.coverage_on = on;
     }
 
@@ -79,7 +78,7 @@ impl<P: Protocol> Sim<P> {
     pub fn record_coverage_signature(&mut self, key: u64) {
         if self.coverage_on {
             if let Some(cov) = &mut self.coverage {
-                Arc::make_mut(cov).record_signature(key);
+                cov.record_signature(key);
             }
         }
     }
@@ -90,7 +89,7 @@ impl<P: Protocol> Sim<P> {
     pub(super) fn cover(&mut self, kind: u64, a: NodeId, b: NodeId, extra: u64) {
         if self.coverage_on {
             if let Some(cov) = &mut self.coverage {
-                Arc::make_mut(cov).record_event(kind, node_key(a), node_key(b), extra);
+                cov.record_event(kind, node_key(a), node_key(b), extra);
             }
         }
     }

@@ -27,7 +27,6 @@ use crate::config::ChannelOrder;
 use crate::ids::NodeId;
 use crate::node::Protocol;
 use crate::trace::StepInfo;
-use std::sync::Arc;
 
 impl<P: Protocol> Sim<P> {
     /// Whether the directed link `from → to` is currently cut.
@@ -41,7 +40,7 @@ impl<P: Protocol> Sim<P> {
         if self.cut_links.insert((from, to)) {
             self.digest_acc = self.digest_acc.wrapping_add(comp_cut(from, to));
             if let Some(row) = self.channels.find((from, to)) {
-                Arc::make_mut(&mut self.channels).cut[row] = true;
+                self.channels.cut[row] = true;
             }
         }
         self.cover(super::cover::kind::CUT, from, to, 0);
@@ -54,7 +53,7 @@ impl<P: Protocol> Sim<P> {
         if self.cut_links.remove(&(from, to)) {
             self.digest_acc = self.digest_acc.wrapping_sub(comp_cut(from, to));
             if let Some(row) = self.channels.find((from, to)) {
-                Arc::make_mut(&mut self.channels).cut[row] = false;
+                self.channels.cut[row] = false;
             }
         }
         self.cover(super::cover::kind::HEAL_LINK, from, to, 0);
@@ -98,11 +97,11 @@ impl<P: Protocol> Sim<P> {
     /// channel is empty or absent.
     pub fn drop_head(&mut self, from: NodeId, to: NodeId) -> Result<StepInfo, super::RunError> {
         let row = match self.channels.find((from, to)) {
-            Some(r) if self.channels.len[r] > 0 => r,
+            Some(r) if self.channels.queues[r].len > 0 => r,
             _ => return Err(super::RunError::NoSuchMessage { from, to }),
         };
         self.mark_chan_dirty(row);
-        Arc::make_mut(&mut self.channels).pop_front(row);
+        self.channels.pop_front(row);
         if let Some(m) = self.metrics_mut() {
             m.on_dropped(row);
         }
@@ -125,13 +124,13 @@ impl<P: Protocol> Sim<P> {
         to: NodeId,
     ) -> Result<StepInfo, super::RunError> {
         let row = match self.channels.find((from, to)) {
-            Some(r) if self.channels.len[r] > 0 => r,
+            Some(r) if self.channels.queues[r].len > 0 => r,
             _ => return Err(super::RunError::NoSuchMessage { from, to }),
         };
         self.mark_chan_dirty(row);
         let now = self.now;
-        let t = Arc::make_mut(&mut self.channels);
-        let copy = t.arena.get(t.head[row]).clone();
+        let t = &mut self.channels;
+        let copy = t.arena.get(t.queues[row].head).clone();
         t.push_back(row, copy, now);
         if let Some(m) = self.metrics_mut() {
             m.on_duplicated(row);
@@ -156,10 +155,10 @@ impl<P: Protocol> Sim<P> {
     /// one message (the rotation would reorder deliveries).
     pub fn delay_head(&mut self, from: NodeId, to: NodeId) -> Result<StepInfo, super::RunError> {
         let row = match self.channels.find((from, to)) {
-            Some(r) if self.channels.len[r] > 0 => r,
+            Some(r) if self.channels.queues[r].len > 0 => r,
             _ => return Err(super::RunError::NoSuchMessage { from, to }),
         };
-        if self.channels.len[row] > 1 {
+        if self.channels.queues[row].len > 1 {
             assert_eq!(
                 self.config.channel_order,
                 ChannelOrder::Any,
@@ -167,7 +166,7 @@ impl<P: Protocol> Sim<P> {
             );
             self.mark_chan_dirty(row);
             let now = self.now;
-            let t = Arc::make_mut(&mut self.channels);
+            let t = &mut self.channels;
             let head = t.pop_front(row);
             t.push_back(row, head, now);
         }

@@ -1,15 +1,10 @@
-//! Forking: structural-sharing clones and the [`Snapshot`] / [`Point`]
+//! Forking: the deep-copy `Sim::clone` and the [`Snapshot`] / [`Point`]
 //! handle API.
 //!
-//! `Sim::clone` is O(nodes + channels) reference-count bumps — no node
-//! state, queued message, operation record, or meter history is copied.
-//! The first *delivery* after a fork promotes the hot trio (server vector,
-//! client vector, channel table) to owned copies in one go and records the
-//! unique ownership in `hot_owned`, so steady-state stepping pays no
-//! refcount traffic at all; everything else (operation log, meter,
-//! metrics, coverage) is promoted piecewise by [`std::sync::Arc::make_mut`]
-//! on first mutation, and whatever a fork never touches stays shared for
-//! its whole life.
+//! `Sim::clone` copies the whole world — node state, queued messages,
+//! operation records, meter and observers — except the scratch buffers,
+//! which are empty between steps. A fork and its source share nothing, so
+//! each mutates its own fields with no ownership bookkeeping.
 //!
 //! [`Snapshot`] wraps an immutable point of an execution behind an `Arc`
 //! and memoizes its [`Sim::digest`], which walks every queued message and
@@ -24,11 +19,6 @@ use std::sync::{Arc, OnceLock};
 
 impl<P: Protocol> Clone for Sim<P> {
     fn clone(&self) -> Self {
-        // Cloning the hot `Arc`s below makes their allocations shared, so
-        // neither world may keep the unique-ownership claim; clearing the
-        // source's flag through `&self` is why it is atomic.
-        self.hot_owned
-            .store(false, std::sync::atomic::Ordering::Relaxed);
         Sim {
             config: self.config,
             servers: self.servers.clone(),
@@ -39,15 +29,11 @@ impl<P: Protocol> Clone for Sim<P> {
             cut_links: self.cut_links.clone(),
             blocked: self.blocked.clone(),
             blocked_count: self.blocked_count,
-            hot_owned: std::sync::atomic::AtomicBool::new(false),
             now: self.now,
             rr_cursor: self.rr_cursor,
             open_ops: self.open_ops.clone(),
             ops: self.ops.clone(),
             meter: self.meter.clone(),
-            // Both forks saw the pending points, so both inherit the count;
-            // each flushes into its own meter copy on next unshare.
-            meter_pending_ticks: self.meter_pending_ticks,
             metrics: self.metrics.clone(),
             metrics_level: self.metrics_level,
             coverage: self.coverage.clone(),
@@ -68,7 +54,7 @@ impl<P: Protocol> Clone for Sim<P> {
 }
 
 impl<P: Protocol> Sim<P> {
-    /// A cheap fork of the world at this point — alias of `clone`, named
+    /// A fork of the world at this point — alias of `clone`, named
     /// for call sites where the *intent* is the paper's "extend a copy of
     /// the execution from point `P`".
     pub fn fork(&self) -> Sim<P> {
@@ -106,7 +92,7 @@ pub struct Snapshot<P: Protocol> {
 pub type Point<P> = Snapshot<P>;
 
 impl<P: Protocol> Snapshot<P> {
-    /// Captures the world at this point (a cheap structural-sharing fork).
+    /// Captures the world at this point (a fork).
     pub fn capture(sim: &Sim<P>) -> Snapshot<P> {
         Snapshot {
             inner: Arc::new(sim.clone()),

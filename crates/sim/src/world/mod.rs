@@ -13,25 +13,21 @@
 //!   directed link cuts and partitions with heal;
 //! * `corrupt` — corruption-adversary primitives: stored-state tampering
 //!   and in-flight payload tampering behind protocol opt-in hooks;
-//! * `fork` — cheap structural-sharing clones and the [`Snapshot`] /
-//!   [`Point`] handle API;
+//! * `fork` — forking (a deep copy) and the [`Snapshot`] / [`Point`]
+//!   handle API;
 //! * `error` — [`RunError`] and [`SendRecord`].
 //!
 //! # Forking
 //!
-//! Every bulky field of [`Sim`] (the server and client automata vectors,
-//! the channel table with its message arena, operation history, send log,
-//! storage meter) sits behind an [`Arc`], so `Sim::clone` is a handful of
-//! reference-count bumps regardless of world size. Cold-path mutation
-//! goes through [`Arc::make_mut`], which copies only the structure
-//! actually touched — and only when it is still shared with another fork
-//! (copy-on-write). The delivery loop instead claims unique ownership of
-//! the three hot structures (node vectors + channel table) once per fork
-//! via the `hot_owned` flag and then mutates them in place with no
-//! refcount traffic at all (see `channels.rs`).
-//! The proof machinery forks the world at every point of an `α^{(v1,v2)}`
-//! execution, so this is the difference between `O(points · world)` and
-//! `O(points + touched-state)` for a whole search.
+//! [`Sim`] is plain owned data: the node vectors, the channel table with
+//! its message arena, the operation history, the storage meter and the
+//! optional observers are ordinary fields, so `Sim::clone` is a deep copy
+//! and every mutation is an ordinary `&mut` borrow. The proof machinery
+//! forks the world at every point of an `α^{(v1,v2)}` execution; a fork
+//! that is stepped writes its node vectors and channel table at its first
+//! delivery, so sharing them copy-on-write saved no copy on any path that
+//! runs. [`Snapshot`] is the one shared handle: an immutable point behind
+//! an `Arc`, for caches that hold many points.
 //!
 //! # The hot loop
 //!
@@ -66,15 +62,13 @@ use crate::node::{Ctx, Node, Protocol};
 use crate::trace::{OpRecord, TrafficCounters};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 use table::ChannelTable;
 
 /// A complete simulated system at a point of an execution.
 ///
-/// `Sim` is cheaply forkable (`Clone`): the proof machinery clones the world
-/// at a point `P` and extends the copy — exactly the paper's "extension of
-/// `α_i`" constructions. Clones share state structurally and copy on first
-/// write (see the [module docs](self)).
+/// `Sim` is forkable (`Clone`, a deep copy): the proof machinery clones the
+/// world at a point `P` and extends the copy — exactly the paper's
+/// "extension of `α_i`" constructions (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -123,12 +117,11 @@ use table::ChannelTable;
 /// ```
 pub struct Sim<P: Protocol> {
     pub(super) config: SimConfig,
-    /// All server automata behind one `Arc`: construction is two
-    /// allocations instead of one per node, and a delivery touches one
-    /// contiguous vector. A fork's first node mutation copies the vector.
-    pub(super) servers: Arc<Vec<P::Server>>,
-    pub(super) clients: Arc<Vec<P::Client>>,
-    pub(in crate::world) channels: Arc<ChannelTable<P::Msg>>,
+    /// All server automata in one vector: a delivery touches one
+    /// contiguous allocation.
+    pub(super) servers: Vec<P::Server>,
+    pub(super) clients: Vec<P::Client>,
+    pub(in crate::world) channels: ChannelTable<P::Msg>,
     pub(super) failed: BTreeSet<NodeId>,
     pub(super) frozen: BTreeSet<NodeId>,
     pub(super) cut_links: BTreeSet<(NodeId, NodeId)>,
@@ -139,42 +132,25 @@ pub struct Sim<P: Protocol> {
     /// How many mask entries are set; zero selects the scheduler's
     /// fault-free fast path.
     pub(super) blocked_count: u32,
-    /// Whether this world has proven itself the *unique* owner of the
-    /// three hot-path allocations (`servers`, `clients`, `channels`), so
-    /// the delivery loop may reach their payloads without per-step
-    /// refcount traffic (see [`Sim::deliver_row`]'s safety comment).
-    ///
-    /// Set by [`Sim::new`] (freshly built `Arc`s are unique) and by the
-    /// delivery loop after it unshares all three; cleared — on *both*
-    /// worlds — by `Sim::clone`, the only place the hot `Arc`s are ever
-    /// cloned. Atomic only so `clone(&self)` can clear it on its source;
-    /// every access uses `Relaxed` because the flag is always read and
-    /// written under a borrow that already excludes the racing writer.
-    pub(super) hot_owned: std::sync::atomic::AtomicBool,
     pub(super) now: u64,
     pub(super) rr_cursor: u64,
     pub(super) open_ops: BTreeMap<ClientId, usize>,
-    pub(super) ops: Arc<Vec<OpRecord<P::Inv, P::Resp>>>,
-    pub(super) meter: Arc<StorageMeter>,
-    /// Observation points that changed no peak, not yet booked into the
-    /// shared meter — deferring them keeps the per-step sample from
-    /// unsharing the meter `Arc` when nothing moved. Flushed whenever the
-    /// meter is next unshared anyway; reads add it to `points_observed`.
-    pub(super) meter_pending_ticks: u64,
-    /// `None` at [`MetricsLevel::Off`], so unmetered worlds pay nothing —
-    /// not even a refcount bump on fork.
-    pub(super) metrics: Option<Arc<MetricsRegistry>>,
+    pub(super) ops: Vec<OpRecord<P::Inv, P::Resp>>,
+    pub(super) meter: StorageMeter,
+    /// `None` at [`MetricsLevel::Off`], so unmetered worlds allocate no
+    /// registry and copy none on fork.
+    pub(super) metrics: Option<MetricsRegistry>,
     /// The registry's level cached inline so the hot-path hooks branch on
-    /// a local byte instead of dereferencing the `Arc`. Kept in sync by
+    /// a local byte instead of matching the `Option`. Kept in sync by
     /// construction and [`Sim::set_metrics`].
     pub(super) metrics_level: MetricsLevel,
     /// `None` when coverage is off (the default), mirroring `metrics`.
-    pub(super) coverage: Option<Arc<CoverageMap>>,
+    pub(super) coverage: Option<CoverageMap>,
     /// Cached inline so the hot-path hooks branch on a local bool instead
     /// of checking the `Option`. Kept in sync by construction and
     /// [`Sim::set_coverage`].
     pub(super) coverage_on: bool,
-    pub(super) send_log: Option<Arc<Vec<SendRecord<P::Msg>>>>,
+    pub(super) send_log: Option<Vec<SendRecord<P::Msg>>>,
     pub(super) traffic: TrafficCounters,
     /// Sum of the *clean* digest components (see `state.rs`): per-node and
     /// per-channel components whose caches are current, plus the
@@ -202,10 +178,10 @@ impl<P: Protocol> Sim<P> {
     ) -> Sim<P> {
         let n = servers.len();
         let slots = n + clients.len();
-        // Run `on_start` on the still-unshared vectors — no per-node
-        // `Arc::make_mut` — stashing each node's effects for application
-        // once the world exists. Applying all effects after all `on_start`s
-        // enqueues the same messages in the same order as interleaving.
+        // Run `on_start` before the world exists, stashing each node's
+        // effects for application once it does. Applying all effects after
+        // all `on_start`s enqueues the same messages in the same order as
+        // interleaving.
         let mut startup: Vec<(NodeId, Ctx<P>)> = Vec::new();
         for (i, s) in servers.iter_mut().enumerate() {
             let id = NodeId::server(i as u32);
@@ -225,28 +201,22 @@ impl<P: Protocol> Sim<P> {
         }
         let mut sim = Sim {
             config,
-            servers: Arc::new(servers),
-            clients: Arc::new(clients),
-            channels: Arc::new(ChannelTable::mesh(
-                n as u32,
-                (slots - n) as u32,
-                config.server_gossip,
-            )),
+            servers,
+            clients,
+            channels: ChannelTable::mesh(n as u32, (slots - n) as u32, config.server_gossip),
             failed: BTreeSet::new(),
             frozen: BTreeSet::new(),
             cut_links: BTreeSet::new(),
             blocked: vec![false; slots],
             blocked_count: 0,
-            hot_owned: std::sync::atomic::AtomicBool::new(true),
             now: 0,
             rr_cursor: 0,
             open_ops: BTreeMap::new(),
-            ops: Arc::new(Vec::new()),
-            meter: Arc::new(StorageMeter::new(n)),
-            meter_pending_ticks: 0,
+            ops: Vec::new(),
+            meter: StorageMeter::new(n),
             metrics: None,
             metrics_level: MetricsLevel::Off,
-            coverage: config.coverage.then(|| Arc::new(CoverageMap::new())),
+            coverage: config.coverage.then(CoverageMap::new),
             coverage_on: config.coverage,
             send_log: None,
             traffic: TrafficCounters::default(),

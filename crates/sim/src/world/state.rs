@@ -47,7 +47,6 @@ use crate::meter::StorageSnapshot;
 use crate::node::{Node, Protocol};
 use crate::trace::{OpRecord, TrafficCounters};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Domain-separation tags so a node component can never collide with a
 /// channel or fault component of the same numeric content.
@@ -87,8 +86,7 @@ impl<P: Protocol> Sim<P> {
 
     /// Mutable access to a server's automaton — the fault-injection hook
     /// for tests that corrupt server state (e.g. truncating a stored
-    /// codeword symbol) to exercise failure paths. Unshares the node
-    /// vector if a snapshot fork still references it.
+    /// codeword symbol) to exercise failure paths.
     ///
     /// # Panics
     ///
@@ -97,7 +95,7 @@ impl<P: Protocol> Sim<P> {
         // The caller mutates through the returned reference, so the node's
         // digest component goes stale here.
         self.mark_node_dirty(id.0 as usize);
-        &mut Arc::make_mut(&mut self.servers)[id.0 as usize]
+        &mut self.servers[id.0 as usize]
     }
 
     /// A client's automaton.
@@ -133,9 +131,9 @@ impl<P: Protocol> Sim<P> {
     /// into the running sum — it does not walk clean state. Debug builds
     /// assert the result equals [`Sim::digest_full`].
     ///
-    /// Forks share state structurally, so two forks that have not diverged
-    /// digest identically by construction; the digest is how divergence is
-    /// *detected*. [`super::Snapshot`] caches this per point.
+    /// A fork digests identically to its source until one of them steps;
+    /// the digest is how divergence is *detected*. [`super::Snapshot`]
+    /// caches this per point.
     pub fn digest(&self) -> u64 {
         let mut acc = self.digest_acc;
         for (slot, dirty) in self.node_dirty.iter().enumerate() {
@@ -143,7 +141,7 @@ impl<P: Protocol> Sim<P> {
                 acc = acc.wrapping_add(comp_node(slot, self.node_digest(slot)));
             }
         }
-        let t = &*self.channels;
+        let t = &self.channels;
         for row in t.nonempty.iter() {
             let row = row as usize;
             if t.dirty[row] {
@@ -171,7 +169,7 @@ impl<P: Protocol> Sim<P> {
         for slot in 0..self.node_comp.len() {
             acc = acc.wrapping_add(comp_node(slot, self.node_digest(slot)));
         }
-        let t = &*self.channels;
+        let t = &self.channels;
         for row in t.nonempty.iter() {
             acc = acc.wrapping_add(self.chan_comp(row as usize));
         }
@@ -190,7 +188,7 @@ impl<P: Protocol> Sim<P> {
     /// The digest component of one non-empty channel row: order-sensitive
     /// over the queued messages, mixed with the channel key.
     pub(super) fn chan_comp(&self, row: usize) -> u64 {
-        let t = &*self.channels;
+        let t = &self.channels;
         let mut h = StableHasher::default();
         h.write_u8(tag::CHANNEL);
         t.keys[row].hash(&mut h);
@@ -226,9 +224,8 @@ impl<P: Protocol> Sim<P> {
     #[inline]
     pub(super) fn mark_chan_dirty(&mut self, row: usize) {
         if !self.channels.dirty[row] {
-            let comp = self.channels.comp[row];
-            self.digest_acc = self.digest_acc.wrapping_sub(comp);
-            Arc::make_mut(&mut self.channels).dirty[row] = true;
+            self.channels.dirty[row] = true;
+            self.digest_acc = self.digest_acc.wrapping_sub(self.channels.comp[row]);
         }
     }
 
@@ -249,19 +246,14 @@ impl<P: Protocol> Sim<P> {
 
     /// The storage peaks observed so far.
     pub fn storage(&self) -> StorageSnapshot {
-        let mut s = self.meter.snapshot();
-        s.points_observed += self.meter_pending_ticks;
-        s
+        self.meter.snapshot()
     }
 
     /// Full-width meter sample: reads every server. Used at construction;
     /// the per-step path goes through [`Sim::sample_meter_for`].
     pub(super) fn sample_meter_full(&mut self) {
-        let pending = std::mem::take(&mut self.meter_pending_ticks);
         let servers = &self.servers;
-        let m = Arc::make_mut(&mut self.meter);
-        m.add_ticks(pending);
-        m.observe_with(servers.len(), |i| {
+        self.meter.observe_with(servers.len(), |i| {
             (
                 <P::Server as Node<P>>::state_bits(&servers[i]),
                 <P::Server as Node<P>>::metadata_bits(&servers[i]),
@@ -273,25 +265,16 @@ impl<P: Protocol> Sim<P> {
     /// most the event's node, so when it is a server only that server's
     /// storage can have moved — an O(1) update instead of an O(servers)
     /// sweep; when it is a client, the sample is a tick (the point still
-    /// counts toward `points_observed`). Peak-preserving points are
-    /// deferred as pending ticks so the common no-change sample never
-    /// unshares the meter.
+    /// counts toward `points_observed`).
     pub(super) fn sample_meter_for(&mut self, node: NodeId) {
         match node {
             NodeId::Server(s) => {
                 let i = s.0 as usize;
                 let bits = <P::Server as Node<P>>::state_bits(&self.servers[i]);
                 let meta = <P::Server as Node<P>>::metadata_bits(&self.servers[i]);
-                if self.meter.server_unchanged(i, bits, meta) {
-                    self.meter_pending_ticks += 1;
-                } else {
-                    let pending = std::mem::take(&mut self.meter_pending_ticks);
-                    let m = Arc::make_mut(&mut self.meter);
-                    m.add_ticks(pending);
-                    m.observe_server(i, bits, meta);
-                }
+                self.meter.observe_server(i, bits, meta);
             }
-            NodeId::Client(_) => self.meter_pending_ticks += 1,
+            NodeId::Client(_) => self.meter.observe_tick(),
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The structure-of-arrays channel table and its message arena.
 //!
-//! The old representation — `BTreeMap<(NodeId, NodeId), Arc<VecDeque<Msg>>>`
-//! — allocated per channel and per message and chased pointers on every
-//! step. This module replaces it with flat structures behind a single
-//! `Arc`:
+//! The old representation — a `BTreeMap` from channel key to a shared
+//! `VecDeque` per channel — allocated per channel and per message and
+//! chased pointers on every step. This module replaces it with flat
+//! structures the world owns:
 //!
 //! * [`MsgArena`]: a slab of message slots with a free list. Enqueueing a
 //!   message reuses a freed slot instead of heap-allocating; a generation
@@ -16,7 +16,8 @@
 //!   `(src, dst)` key so iteration order is byte-for-byte the order the old
 //!   `BTreeMap` produced (schedulers, traces and recorded fault corpora
 //!   depend on that order). Besides the key, each row carries its
-//!   endpoints' block-mask slots, queue head/tail/length, a cut flag
+//!   endpoints' block-mask slots, its [`Queue`] (head, tail and length in
+//!   one record, so a push or pop pays one bounds check), a cut flag
 //!   mirroring `Sim::cut_links`, and the cached digest component the
 //!   incremental world digest folds (see `state.rs`).
 //! * [`RowSet`]: the non-empty rows as a bitset. Emptying or refilling a
@@ -27,10 +28,8 @@
 //! * a dense route table mapping `(src_slot, dst_slot)` to its row, so the
 //!   send and targeted-delivery paths skip the binary search entirely.
 //!
-//! The whole table sits behind one `Arc` on [`super::Sim`], so forking a
-//! world bumps a single reference count no matter how many channels or
-//! queued messages exist; the first post-fork mutation copies the table
-//! once (copy-on-write at table granularity).
+//! The table is a plain field of [`super::Sim`]: forking a world copies
+//! it, arena included.
 
 use crate::ids::NodeId;
 
@@ -279,34 +278,35 @@ impl RowSet {
     }
 }
 
-/// The index of the `k`-th set bit of `word` (`k < popcount`). On x86-64
-/// with BMI2 this is a single `pdep` (deposit a lone bit at rank `k`, then
-/// count trailing zeros); elsewhere a clear-lowest-bit loop.
+/// The index of the `k`-th set bit of `word` (`k < popcount`): clears
+/// the lowest set bit `k` times.
 #[inline]
 fn select_in_word(word: u64, k: u32) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("bmi2") {
-        // SAFETY: guarded by the bmi2 runtime check, same pattern as the
-        // erasure kernels.
-        return unsafe { select_in_word_bmi2(word, k) };
-    }
-    select_in_word_generic(word, k)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "bmi2")]
-unsafe fn select_in_word_bmi2(word: u64, k: u32) -> u32 {
-    core::arch::x86_64::_pdep_u64(1u64 << k, word).trailing_zeros()
-}
-
-#[inline]
-fn select_in_word_generic(word: u64, k: u32) -> u32 {
     let mut m = word;
     for _ in 0..k {
         m &= m - 1; // clear lowest set bit
     }
     m.trailing_zeros()
 }
+
+/// One channel's intrusive queue: head and tail handles into the arena
+/// and the queue length, kept together so a push or pop indexes one row.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Queue {
+    /// Head of the intrusive queue (NIL when empty).
+    pub head: Handle,
+    /// Tail of the intrusive queue (NIL when empty).
+    pub tail: Handle,
+    /// Queue length.
+    pub len: u32,
+}
+
+/// The queue of a row with nothing in flight.
+const EMPTY: Queue = Queue {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
 
 /// Parallel per-channel vectors, sorted by `(src, dst)`.
 ///
@@ -322,12 +322,8 @@ pub(super) struct ChannelTable<M> {
     pub src_slot: Vec<u32>,
     /// Destination endpoint's index into the world's block mask.
     pub dst_slot: Vec<u32>,
-    /// Head of the intrusive queue (NIL when empty).
-    pub head: Vec<Handle>,
-    /// Tail of the intrusive queue (NIL when empty).
-    pub tail: Vec<Handle>,
-    /// Queue length.
-    pub len: Vec<u32>,
+    /// Each row's queue.
+    pub queues: Vec<Queue>,
     /// Mirrors `Sim::cut_links` for rows that exist (links can be cut
     /// before their channel ever carries a message).
     pub cut: Vec<bool>,
@@ -349,12 +345,6 @@ pub(super) struct ChannelTable<M> {
     pub in_flight: usize,
 }
 
-impl<M> Default for ChannelTable<M> {
-    fn default() -> ChannelTable<M> {
-        ChannelTable::new(0)
-    }
-}
-
 impl<M> ChannelTable<M> {
     /// An empty table for a world with `slots` nodes (servers + clients).
     pub fn new(slots: u32) -> ChannelTable<M> {
@@ -362,9 +352,7 @@ impl<M> ChannelTable<M> {
             keys: Vec::new(),
             src_slot: Vec::new(),
             dst_slot: Vec::new(),
-            head: Vec::new(),
-            tail: Vec::new(),
-            len: Vec::new(),
+            queues: Vec::new(),
             cut: Vec::new(),
             comp: Vec::new(),
             dirty: Vec::new(),
@@ -422,9 +410,7 @@ impl<M> ChannelTable<M> {
         }
         debug_assert_eq!(t.keys.len(), rows);
         debug_assert!(t.keys.windows(2).all(|w| w[0] < w[1]), "mesh out of order");
-        t.head = vec![NIL; rows];
-        t.tail = vec![NIL; rows];
-        t.len = vec![0; rows];
+        t.queues = vec![EMPTY; rows];
         t.cut = vec![false; rows];
         t.comp = vec![0; rows];
         t.dirty = vec![false; rows];
@@ -472,16 +458,14 @@ impl<M> ChannelTable<M> {
                 if self.keys.len() == self.keys.capacity() {
                     // First growth (or a full table): size for a dense
                     // client↔server mesh up front rather than doubling
-                    // nine parallel vectors in lockstep.
+                    // seven parallel vectors in lockstep.
                     let add = (2 * self.slots as usize).max(8);
                     self.reserve_rows(add);
                 }
                 self.keys.insert(pos, key);
                 self.src_slot.insert(pos, src);
                 self.dst_slot.insert(pos, dst);
-                self.head.insert(pos, NIL);
-                self.tail.insert(pos, NIL);
-                self.len.insert(pos, 0);
+                self.queues.insert(pos, EMPTY);
                 self.cut.insert(pos, cut);
                 self.comp.insert(pos, 0);
                 self.dirty.insert(pos, false);
@@ -508,9 +492,7 @@ impl<M> ChannelTable<M> {
         self.keys.reserve(additional);
         self.src_slot.reserve(additional);
         self.dst_slot.reserve(additional);
-        self.head.reserve(additional);
-        self.tail.reserve(additional);
-        self.len.reserve(additional);
+        self.queues.reserve(additional);
         self.cut.reserve(additional);
         self.comp.reserve(additional);
         self.dirty.reserve(additional);
@@ -519,25 +501,18 @@ impl<M> ChannelTable<M> {
     /// Appends `msg` to `row`'s queue; returns the new queue length.
     #[inline]
     pub fn push_back(&mut self, row: usize, msg: M, tick: u64) -> u32 {
-        debug_assert!(row < self.keys.len(), "push_back: row out of range");
         let h = self.arena.insert(msg, tick);
-        // SAFETY: `row` indexes an existing table row (asserted above);
-        // every caller obtains it from `lookup`/`find`/`ensure` or the
-        // nonempty set, all of which only yield in-range rows. Elided
-        // bounds checks here are worth measurable step throughput.
-        unsafe {
-            let tail = *self.tail.get_unchecked(row);
-            if tail.is_nil() {
-                *self.head.get_unchecked_mut(row) = h;
-                self.nonempty.insert(row as u32);
-            } else {
-                self.arena.set_next(tail, h);
-            }
-            *self.tail.get_unchecked_mut(row) = h;
-            *self.len.get_unchecked_mut(row) += 1;
-            self.in_flight += 1;
-            *self.len.get_unchecked(row)
+        let q = &mut self.queues[row];
+        if q.tail.is_nil() {
+            q.head = h;
+            self.nonempty.insert(row as u32);
+        } else {
+            self.arena.set_next(q.tail, h);
         }
+        q.tail = h;
+        q.len += 1;
+        self.in_flight += 1;
+        q.len
     }
 
     /// Pops the head message of `row`.
@@ -547,22 +522,18 @@ impl<M> ChannelTable<M> {
     /// Panics if the queue is empty.
     #[inline]
     pub fn pop_front(&mut self, row: usize) -> M {
-        debug_assert!(row < self.keys.len(), "pop_front: row out of range");
-        // SAFETY: as in `push_back` — `row` is an existing table row, and
-        // the non-nil head assertion still guards the empty-queue case.
-        unsafe {
-            let h = *self.head.get_unchecked(row);
-            assert!(!h.is_nil(), "pop from empty channel queue");
-            let next = self.arena.next(h);
-            *self.head.get_unchecked_mut(row) = next;
-            if next.is_nil() {
-                *self.tail.get_unchecked_mut(row) = NIL;
-                self.nonempty.remove(row as u32);
-            }
-            *self.len.get_unchecked_mut(row) -= 1;
-            self.in_flight -= 1;
-            self.arena.take(h)
+        let q = &mut self.queues[row];
+        let h = q.head;
+        assert!(!h.is_nil(), "pop from empty channel queue");
+        let next = self.arena.next(h);
+        q.head = next;
+        if next.is_nil() {
+            q.tail = NIL;
+            self.nonempty.remove(row as u32);
         }
+        q.len -= 1;
+        self.in_flight -= 1;
+        self.arena.take(h)
     }
 
     /// Unlinks the `idx`-th queued message (0 = head) and relinks it at the
@@ -572,7 +543,8 @@ impl<M> ChannelTable<M> {
             return;
         }
         // Walk to the predecessor of the target.
-        let mut prev = self.head[row];
+        let q = &mut self.queues[row];
+        let mut prev = q.head;
         for _ in 1..idx {
             prev = self.arena.next(prev);
         }
@@ -580,25 +552,23 @@ impl<M> ChannelTable<M> {
         let after = self.arena.next(target);
         self.arena.set_next(prev, after);
         if after.is_nil() {
-            self.tail[row] = prev;
+            q.tail = prev;
         }
-        self.arena.set_next(target, self.head[row]);
-        self.head[row] = target;
+        self.arena.set_next(target, q.head);
+        q.head = target;
     }
 
     /// Empties `row`, freeing every queued message.
     pub fn purge(&mut self, row: usize) {
-        let mut h = self.head[row];
+        let q = std::mem::replace(&mut self.queues[row], EMPTY);
+        let mut h = q.head;
         while !h.is_nil() {
             let next = self.arena.next(h);
             self.arena.take(h);
             h = next;
         }
-        self.in_flight -= self.len[row] as usize;
-        self.head[row] = NIL;
-        self.tail[row] = NIL;
-        if self.len[row] > 0 {
-            self.len[row] = 0;
+        self.in_flight -= q.len as usize;
+        if q.len > 0 {
             self.nonempty.remove(row as u32);
         }
     }
@@ -606,7 +576,7 @@ impl<M> ChannelTable<M> {
     /// Folds `f` over `row`'s queued messages in delivery order.
     #[inline]
     pub fn for_each_msg(&self, row: usize, mut f: impl FnMut(&M)) {
-        let mut h = self.head[row];
+        let mut h = self.queues[row].head;
         while !h.is_nil() {
             f(self.arena.get(h));
             h = self.arena.next(h);
@@ -670,7 +640,7 @@ mod tests {
         for v in 1..=4 {
             t.push_back(row, v, 0);
         }
-        assert_eq!(t.len[row], 4);
+        assert_eq!(t.queues[row].len, 4);
         assert_eq!(t.in_flight, 4);
         let drained: Vec<u32> = (0..4).map(|_| t.pop_front(row)).collect();
         assert_eq!(drained, vec![1, 2, 3, 4]);
@@ -740,7 +710,7 @@ mod tests {
             t.push_back(row, v, 0);
         }
         t.purge(row);
-        assert_eq!(t.len[row], 0);
+        assert_eq!(t.queues[row].len, 0);
         assert_eq!(t.in_flight, 0);
         assert_eq!(t.arena.live(), 0);
         assert!(t.nonempty.is_empty());
@@ -767,18 +737,23 @@ mod tests {
     }
 
     #[test]
-    fn select_in_word_paths_agree() {
-        // The accelerated and generic single-word selects must be
-        // interchangeable (select() picks whichever the CPU supports).
-        for word in [
-            1u64,
-            0b1011,
-            u64::MAX,
-            0x8000_0000_0000_0001,
-            0xaaaa_5555_f00f_0ff0,
-        ] {
-            for k in 0..word.count_ones() {
-                assert_eq!(select_in_word(word, k), select_in_word_generic(word, k));
+    fn select_matches_iter_over_random_sets() {
+        // `select(k)` is the scheduler's round-robin pick; it must name
+        // the same row as walking the set in ascending order.
+        let mut rng = shmem_util::DetRng::seed_from_u64(0x5e1ec7);
+        for _ in 0..200 {
+            let rows = rng.gen_range(1..300usize);
+            let mut s = RowSet::default();
+            s.ensure_rows(rows);
+            for r in 0..rows as u32 {
+                if rng.gen_bool(0.3) {
+                    s.insert(r);
+                }
+            }
+            let members: Vec<u32> = s.iter().collect();
+            assert_eq!(members.len() as u32, s.len());
+            for k in 0..s.len() {
+                assert_eq!(Some(s.select(k)), s.iter().nth(k as usize));
             }
         }
     }

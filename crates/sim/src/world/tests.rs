@@ -4,7 +4,6 @@ use crate::hash::hash_of;
 use crate::ids::{ClientId, NodeId, ServerId};
 use crate::node::{Ctx, Node, Protocol};
 use crate::trace::StepInfo;
-use std::sync::Arc;
 
 /// A toy majority-ack register: the client broadcasts `Store(v)` and
 /// responds once a majority acks; servers remember the last value.
@@ -196,38 +195,34 @@ fn fork_and_diverge() {
 }
 
 #[test]
-fn fork_shares_state_until_first_write() {
+fn fork_equals_source_and_each_side_steps_alone() {
     let mut sim = world(4, 3);
+    sim.set_metrics(crate::metrics::MetricsLevel::Full);
     sim.invoke(ClientId(0), 5).unwrap();
-    let fork = sim.fork();
-    // Structural sharing: the fork points at the same node vectors and
-    // channel table.
-    assert!(
-        Arc::ptr_eq(&sim.servers, &fork.servers),
-        "fork must share server state"
-    );
-    assert!(Arc::ptr_eq(&sim.clients, &fork.clients));
-    assert!(
-        Arc::ptr_eq(&sim.channels, &fork.channels),
-        "fork must share the channel table"
-    );
-    assert!(Arc::ptr_eq(&sim.ops, &fork.ops));
-    // The first delivery claims unique ownership of the hot trio — the
-    // node vectors and the channel table are promoted to owned copies in
-    // one go, so later steps pay no refcount traffic at all...
-    sim.deliver_one(NodeId::client(0), NodeId::server(1))
+    sim.step_fair().unwrap();
+    // Everything the world reports about itself, as one comparable value.
+    let view = |s: &Sim<Toy>| {
+        (
+            s.digest(),
+            s.storage(),
+            format!("{:?}", s.ops()),
+            s.metrics_json().to_compact(),
+        )
+    };
+    let before = view(&sim);
+    let mut fork = sim.fork();
+    assert_eq!(view(&fork), before, "a fork equals its source");
+    // Stepping the source leaves the fork where it was...
+    sim.run_until_op_completes(ClientId(0)).unwrap();
+    assert_eq!(view(&fork), before);
+    let source_done = view(&sim);
+    assert_ne!(source_done, before);
+    // ...and stepping the fork leaves the source where it got to.
+    fork.deliver_one(NodeId::client(0), NodeId::server(3))
         .unwrap();
-    assert!(
-        !Arc::ptr_eq(&sim.servers, &fork.servers),
-        "mutated server vector must be promoted to an owned copy"
-    );
-    assert!(!Arc::ptr_eq(&sim.channels, &fork.channels));
-    assert!(!Arc::ptr_eq(&sim.clients, &fork.clients));
-    // ...while everything outside the hot trio stays shared, and the
-    // fork's view is bit-for-bit the pre-step world.
-    assert!(Arc::ptr_eq(&sim.ops, &fork.ops));
-    assert_eq!(fork.server(ServerId(1)).value, 0);
-    assert_eq!(sim.server(ServerId(1)).value, 5);
+    assert_eq!(view(&sim), source_done);
+    assert_ne!(view(&fork), before);
+    assert_eq!(fork.server(ServerId(3)).value, 5);
 }
 
 #[test]

@@ -29,6 +29,8 @@
 //! assert!(check_atomic(&h).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod atomic;
 pub mod fabricate;
 pub mod history;

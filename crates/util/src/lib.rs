@@ -23,6 +23,8 @@
 //!   once so the simulator, the shared store, and the network layer
 //!   corrupt payloads byte-identically.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod json;
 pub mod par;

@@ -61,6 +61,12 @@ if grep -n "Transport for" crates/net/src/tcp.rs; then
   exit 1
 fi
 
+echo "==> no waiting on a dead server: a refused dial marks it down, no worker sleeps"
+if [ "$(sed '/#\[cfg(test)\]/,$d' crates/net/src/tcp.rs | grep -c "thread::sleep")" != 1 ]; then
+  echo "crates/net/src/tcp.rs must name thread::sleep once (the accept loop's poll) before its tests" >&2
+  exit 1
+fi
+
 echo "==> one serve loop: a server is one automaton on one thread"
 if sed '/#\[cfg(test)\]/,$d' crates/net/src/serve.rs | grep -n "thread::\|Condvar\|mpsc"; then
   echo "crates/net/src/serve.rs names a thread or a queue; serve_until is the one loop" >&2
@@ -78,6 +84,28 @@ if [ "$(sed '/#\[cfg(test)\]/,$d' crates/sim/src/world/channels.rs | grep -c "pu
 fi
 if sed '/#\[cfg(test)\]/,$d' crates/sim/src/metrics.rs | grep -n "BTreeMap<(NodeId, NodeId)\|\.entry("; then
   echo "crates/sim/src/metrics.rs looks a ledger up by channel; ledgers are indexed by channel-table row (DESIGN §4.2)" >&2
+  exit 1
+fi
+
+echo "==> plain-data world: the simulator is owned data and forbids unsafe code"
+if ! grep -q '^#!\[forbid(unsafe_code)\]' crates/sim/src/lib.rs; then
+  echo "crates/sim/src/lib.rs must carry #![forbid(unsafe_code)]" >&2
+  exit 1
+fi
+for f in $(find crates/sim/src -name '*.rs' ! -name tests.rs); do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n "make_mut\|hot_owned\|meter_pending_ticks\|get_unchecked\|is_x86_feature_detected"; then
+    echo "$f shares world state copy-on-write or skips a check; Sim is plain owned data (DESIGN §4.2)" >&2
+    exit 1
+  fi
+done
+if grep -rln "Arc<" crates/sim/src | grep -v '^crates/sim/src/world/fork\.rs$'; then
+  echo "the files above name Arc<; only Snapshot (crates/sim/src/world/fork.rs) shares a world" >&2
+  exit 1
+fi
+
+echo "==> unsafe only in the erasure kernels"
+if grep -rlw "unsafe" crates/*/src src | grep -v '^crates/erasure/src/kernel\.rs$'; then
+  echo "the files above use unsafe; only the runtime-detected SIMD kernels in crates/erasure/src/kernel.rs may" >&2
   exit 1
 fi
 

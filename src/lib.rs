@@ -36,6 +36,8 @@
 //! # Ok::<(), shmem_emulation::bounds::ParamError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use shmem_algorithms as algorithms;
 pub use shmem_bounds as bounds;
 pub use shmem_core as core;
