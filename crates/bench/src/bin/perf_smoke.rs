@@ -12,8 +12,7 @@
 //! (shared store ÷ sequential backend, slab ÷ legacy codec). A faster,
 //! slower or busier machine moves numerator and denominator together, so
 //! the limits below hold on any box; a real regression — say the hot
-//! loop reacquiring a per-step `Arc::make_mut` — moves only the
-//! numerator. Each simulator limit is about twice the ratio measured when
+//! loop allocating on every step — moves only the numerator. Each simulator limit is about twice the ratio measured when
 //! it was set, the same deliberately loose tolerance the gate has always
 //! had, so shared CI runners don't flap.
 

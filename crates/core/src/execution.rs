@@ -17,7 +17,7 @@ use shmem_sim::{ClientId, Point, Protocol, RunError, Sim};
 /// to `P_M` (after `π₂` terminates).
 ///
 /// Points are stored as [`Point`]s (immutable, digest-cached snapshots):
-/// recording one costs a structural-sharing fork, and the probe engine's
+/// recording one costs a fork of the world, and the probe engine's
 /// verdict cache keys off the memoized point digests.
 pub struct AlphaExecution<P: Protocol<Inv = RegInv, Resp = RegResp>> {
     /// World snapshots at points `P₀ … P_M`. `points[0]` is `P₀`;

@@ -164,7 +164,8 @@ fn tcp_load_tolerates_two_permanent_server_crashes() {
 
 /// Severing every pooled connection mid-load forces the reconnect path:
 /// the pool re-reads the address table, redials the live servers, and
-/// the load completes with no correctness wobble. The grown connect counter is the proof the path ran.
+/// the load completes with no correctness wobble. The grown connect
+/// counter is the proof the path ran.
 #[test]
 fn tcp_load_reconnects_after_connection_sever() {
     let cluster = abd_cluster(NetBackend::Tcp);
